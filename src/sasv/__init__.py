@@ -5,9 +5,9 @@ theory, evaluates with the a-DCF / EER family and jointly trains lightweight
 scoring heads for a differentiable a-DCF objective.
 """
 
-from .core import (CostModel, DEFAULT_COST_MODEL, EmbeddingStore, ScoredTrial,
+from .core import (CostModel, DEFAULT_COST_MODEL, EmbeddingStore, ScoreTable,
                    TrialLabel, TrialRecord, derive_beta, derive_rho,
-                   label_maps)
+                   label_codes, label_maps)
 from .decision import (CalibrationParams, FusionConfig, asv_bayes_threshold,
                        bayes_accept, calibrate, fit_calibration, fuse,
                        fuse_linear, fuse_nonlinear)

@@ -3,19 +3,20 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
 from . import fileio
-from .core import CostModel, TrialLabel
+from .core import NONTARGET, SPOOF, TARGET, CostModel, ScoreTable, \
+    TrialLabel, label_codes
 from .decision import CalibrationParams, FusionConfig, calibrate, \
     fit_calibration, fuse
 from .losses import LossWeights
-from .metrics import actual_adcf, eer, det_points, min_adcf
+from .metrics import actual_adcf, eer, det_points, min_adcf, split_by_class
 from .sim import EmbeddingSimConfig, GridSpec, ScoreSimConfig, \
     boundary_grid, simulate_embeddings, simulate_scores
 from .train import TrainConfig, train_joint
@@ -147,15 +148,13 @@ def _cmd_simulate(args):
                     getattr(cfg, field_name).update(new)
             cfg = ScoreSimConfig(cfg.means, cfg.covs, cfg.counts, args.seed)
         llr_asv, llr_cm, labels = simulate_scores(cfg)
-        rows_asv, rows_cm = [], []
-        for i, (a, c, label) in enumerate(zip(llr_asv, llr_cm, labels)):
-            enroll, test = f"e{i:06d}", f"t{i:06d}"
-            rows_asv.append((enroll, test, a, label))
-            rows_cm.append((enroll, test, c, label))
+        enroll = [f"e{i:06d}" for i in range(len(labels))]
+        test = [f"t{i:06d}" for i in range(len(labels))]
+        codes = label_codes(labels)
         fileio.write_scores(os.path.join(args.out_dir, "asv_scores.tsv"),
-                            rows_asv)
+                            ScoreTable(enroll, test, llr_asv, codes))
         fileio.write_scores(os.path.join(args.out_dir, "cm_scores.tsv"),
-                            rows_cm)
+                            ScoreTable(enroll, test, llr_cm, codes))
     else:
         cfg = EmbeddingSimConfig(**overrides, seed=args.seed)
         asv_store, cm_store, trials = simulate_embeddings(cfg)
@@ -169,58 +168,60 @@ def _cmd_simulate(args):
 
 
 def _cmd_calibrate(args):
-    rows = fileio.read_scores(args.scores)
+    table = fileio.read_scores(args.scores)
     if args.task == "asv":
-        pairs = [(s, 1 if label is TrialLabel.TARGET else 0)
-                 for _, _, s, label in rows if label is not TrialLabel.SPOOF]
+        bonafide = table.codes != SPOOF
+        scores = table.scores[bonafide]
+        labels = table.codes[bonafide] == TARGET
     else:
-        pairs = [(s, 0 if label is TrialLabel.SPOOF else 1)
-                 for _, _, s, label in rows]
-    if not pairs:
+        scores, labels = table.scores, table.codes != SPOOF
+    if not scores.size:
         raise ValueError("no usable trials for calibration task "
                          f"{args.task!r}")
-    scores, labels = zip(*pairs)
-    params = fit_calibration(np.array(scores), np.array(labels))
+    params = fit_calibration(scores, labels)
     fileio.write_report(args.out, {"w0": params.w0, "w1": params.w1,
                                    "task": args.task})
     return 0
 
 
 def _cmd_fuse(args):
-    asv_rows = fileio.read_scores(args.asv)
-    cm_rows = fileio.read_scores(args.cm)
-    cm_index = {(e, t): (s, label) for e, t, s, label in cm_rows}
+    asv = fileio.read_scores(args.asv)
+    cm = fileio.read_scores(args.cm)
+    # a repeated CM trial resolves to its last row
+    cm_row = dict(zip(zip(cm.enroll, cm.test), range(len(cm))))
     asv_calib = _load_calibration(args.asv_calib) if args.asv_calib \
         else CalibrationParams(0.0, 1.0)
     cm_calib = _load_calibration(args.cm_calib) if args.cm_calib \
         else CalibrationParams(0.0, 1.0)
     config = FusionConfig(args.mode, args.rho)
-    out_rows = []
-    for enroll, test, s_asv, label in asv_rows:
-        key = (enroll, test)
-        if key not in cm_index:
-            raise ValueError(f"trial {enroll}/{test} missing from CM scores")
-        s_cm, cm_label = cm_index[key]
-        if cm_label is not label:
-            raise ValueError(f"label mismatch for trial {enroll}/{test}")
-        llr_a = float(calibrate(s_asv, asv_calib))
-        llr_c = float(calibrate(s_cm, cm_calib))
-        out_rows.append((enroll, test, float(fuse(llr_a, llr_c, config)),
-                         label))
-    fileio.write_scores(args.out, out_rows)
+    if len(cm_row) == len(cm) and asv.enroll == cm.enroll \
+            and asv.test == cm.test:
+        rows = np.arange(len(cm))  # same unrepeated trials, same order
+    else:
+        rows = np.fromiter(map(cm_row.get, zip(asv.enroll, asv.test),
+                               itertools.repeat(-1)), np.intp, len(asv))
+    bad = rows < 0
+    bad[~bad] = asv.codes[~bad] != cm.codes[rows[~bad]]
+    if bad.any():
+        i = int(np.argmax(bad))
+        trial = f"{asv.enroll[i]}/{asv.test[i]}"
+        if rows[i] < 0:
+            raise ValueError(f"trial {trial} missing from CM scores")
+        raise ValueError(f"label mismatch for trial {trial}")
+    fused = fuse(calibrate(asv.scores, asv_calib),
+                 calibrate(cm.scores[rows], cm_calib), config)
+    fileio.write_scores(args.out,
+                        ScoreTable(asv.enroll, asv.test, fused, asv.codes))
     return 0
 
 
 def _cmd_eval(args):
-    rows = fileio.read_scores(args.scores)
-    scores = np.array([s for _, _, s, _ in rows])
-    labels = [label for _, _, _, label in rows]
+    table = fileio.read_scores(args.scores)
+    scores, codes = table.scores, table.codes
     cm = _cost_model(args)
     normalized = not args.unnormalized
-    report = min_adcf(scores, labels, cm, normalized=normalized)
-    tar = scores[[l is TrialLabel.TARGET for l in labels]]
-    non = scores[[l is TrialLabel.NONTARGET for l in labels]]
-    spf = scores[[l is TrialLabel.SPOOF for l in labels]]
+    report = min_adcf(scores, codes, cm, normalized=normalized)
+    tar, non, spf = split_by_class(scores, codes)
     sv_eer, sv_tau = eer(tar, non)
     spf_eer, spf_tau = eer(tar, spf)
     doc = {
@@ -237,10 +238,10 @@ def _cmd_eval(args):
         "sv_eer_threshold": sv_tau,
         "spf_eer": spf_eer,
         "spf_eer_threshold": spf_tau,
-        "n_trials": len(rows),
+        "n_trials": len(table),
     }
     if args.threshold is not None:
-        doc["act_adcf"] = actual_adcf(scores, labels, args.threshold, cm,
+        doc["act_adcf"] = actual_adcf(scores, codes, args.threshold, cm,
                                       normalized=normalized)
         doc["act_threshold"] = args.threshold
     fileio.write_report(args.report, doc)
@@ -280,20 +281,17 @@ def _cmd_train(args):
                             dev_min_adcf=ckpt.dev_min_adcf,
                             dev_threshold=ckpt.dev_threshold)
     if args.log:
-        text = "".join(json.dumps(entry, sort_keys=True) + "\n"
-                       for entry in log)
+        text = "".join(json.dumps(entry, sort_keys=True, allow_nan=False)
+                       + "\n" for entry in log)
         fileio._atomic_write(args.log, text)
     return 0
 
 
 def _cmd_det(args):
-    rows = fileio.read_scores(args.scores)
-    scores = np.array([s for _, _, s, _ in rows])
-    labels = [label for _, _, _, label in rows]
-    pos = scores[[l is TrialLabel.TARGET for l in labels]]
-    neg_label = TrialLabel.NONTARGET if args.negatives == "nontarget" \
-        else TrialLabel.SPOOF
-    neg = scores[[l is neg_label for l in labels]]
+    table = fileio.read_scores(args.scores)
+    neg_code = NONTARGET if args.negatives == "nontarget" else SPOOF
+    pos = table.scores[table.codes == TARGET]
+    neg = table.scores[table.codes == neg_code]
     fileio.write_det_csv(args.out, det_points(pos, neg))
     return 0
 

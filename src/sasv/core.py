@@ -1,10 +1,10 @@
-"""Shared domain types: trial labels, cost/prior model, embeddings, scored trials."""
+"""Shared domain types: trial labels, score tables, cost/prior model, embeddings."""
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,11 +20,66 @@ class TrialLabel(enum.Enum):
 
     @classmethod
     def from_string(cls, text):
-        for member in cls:
-            if member.value == text:
-                return member
-        raise ValueError(f"unknown trial label {text!r} "
-                         f"(expected one of: target, nontarget, spoof)")
+        try:
+            return LABELS[CODE_OF_TEXT[text]]
+        except KeyError:
+            raise ValueError(f"unknown trial label {text!r} "
+                             f"(expected one of: target, nontarget, spoof)"
+                             ) from None
+
+
+# Label codes of the columnar ScoreTable: position in TrialLabel order.
+LABELS = tuple(TrialLabel)
+TARGET, NONTARGET, SPOOF = range(3)
+CODE_OF_TEXT = {label.value: code for code, label in enumerate(LABELS)}
+_CODE_OF_LABEL = {label: code for code, label in enumerate(LABELS)}
+
+
+def label_codes(labels):
+    """int8 codes (TARGET/NONTARGET/SPOOF) of a TrialLabel sequence.
+
+    An int8 array is taken to hold codes already and is returned unchanged.
+    """
+    if isinstance(labels, np.ndarray) and labels.dtype == np.int8:
+        return labels
+    try:
+        return np.fromiter(map(_CODE_OF_LABEL.__getitem__, labels),
+                           dtype=np.int8, count=len(labels))
+    except KeyError as exc:
+        raise ValueError(f"not a TrialLabel: {exc.args[0]!r}") from None
+
+
+class ScoreTable:
+    """A scored trial list as columns: ids, float64 scores, int8 label codes.
+
+    Iterating yields the rows as (enroll_id, test_id, score, TrialLabel).
+    """
+
+    __slots__ = ("enroll", "test", "scores", "codes")
+
+    def __init__(self, enroll, test, scores, codes):
+        self.enroll = enroll
+        self.test = test
+        self.scores = np.asarray(scores, dtype=np.float64)
+        self.codes = label_codes(codes)
+        if not (len(enroll) == len(test) == self.scores.shape[0]
+                == self.codes.shape[0]):
+            raise ValueError("score table columns differ in length")
+
+    @classmethod
+    def from_rows(cls, rows):
+        """Build from (enroll_id, test_id, score, TrialLabel) tuples."""
+        rows = list(rows)
+        return cls([r[0] for r in rows], [r[1] for r in rows],
+                   np.array([r[2] for r in rows], np.float64),
+                   [r[3] for r in rows])
+
+    def __len__(self):
+        return len(self.enroll)
+
+    def __iter__(self):
+        labels = [LABELS[c] for c in self.codes.tolist()]
+        return zip(self.enroll, self.test, self.scores.tolist(), labels)
 
 
 def label_maps(label):
@@ -175,15 +230,3 @@ class EmbeddingStore:
         """Stack the vectors for the given ids into an (n, dim) array."""
         return np.stack([self.get(i) for i in utt_ids]) if utt_ids else \
             np.empty((0, self.dim))
-
-
-@dataclass
-class ScoredTrial:
-    """Per-trial raw, calibrated and fused scores."""
-
-    trial: TrialRecord
-    s_asv_raw: float = field(default=math.nan)
-    s_cm_raw: float = field(default=math.nan)
-    llr_asv: float = field(default=math.nan)
-    llr_cm: float = field(default=math.nan)
-    s_sasv: float = field(default=math.nan)

@@ -140,33 +140,34 @@ def fuse_nonlinear(llr_asv, llr_cm, rho_tilde):
     return float(out) if out.ndim == 0 else out
 
 
-def _neg_log_weighted_exp(u, a, v, b):
-    """-log(u e^-a + v e^-b) for nonnegative weights, overflow-safe."""
-    if u == 0.0 and v == 0.0:
-        return math.inf
-    if u == 0.0:
-        return b - math.log(v)
-    if v == 0.0:
-        return a - math.log(u)
-    ta = math.log(u) - a
-    tb = math.log(v) - b
-    m = max(ta, tb)
-    return -(m + math.log(math.exp(ta - m) + math.exp(tb - m)))
-
-
 def bayes_accept(llr_asv, llr_cm, cost_model):
     """Minimum-risk accept/reject for the three-class task.
 
     Accept iff -log[(1-rho)(Cfa_non/Cmiss)e^-llr_asv
                    + rho(Cfa_spf/Cmiss)e^-llr_cm] > -log(beta).
+    Takes scalars (returns a bool) or broadcastable arrays (a bool array).
     """
     if cost_model.c_miss_tar <= 0:
         raise ValueError("c_miss_tar must be positive for the accept policy")
     rho = cost_model.rho
     u = (1.0 - rho) * cost_model.c_fa_non / cost_model.c_miss_tar
     v = rho * cost_model.c_fa_spf / cost_model.c_miss_tar
-    lhs = _neg_log_weighted_exp(u, llr_asv, v, llr_cm)
-    return lhs > -math.log(cost_model.beta)
+    a = np.asarray(llr_asv, dtype=np.float64)
+    b = np.asarray(llr_cm, dtype=np.float64)
+    # lhs = -log(u e^-a + v e^-b), overflow-safe; a zero weight drops a term
+    if u == 0.0 and v == 0.0:
+        lhs = np.full(np.broadcast(a, b).shape, math.inf)
+    elif u == 0.0:
+        lhs = np.broadcast_arrays(a, b - math.log(v))[1]
+    elif v == 0.0:
+        lhs = np.broadcast_arrays(a - math.log(u), b)[0]
+    else:
+        ta = math.log(u) - a
+        tb = math.log(v) - b
+        m = np.maximum(ta, tb)
+        lhs = -(m + np.log(np.exp(ta - m) + np.exp(tb - m)))
+    accept = lhs > -math.log(cost_model.beta)
+    return bool(accept) if accept.ndim == 0 else accept
 
 
 def asv_bayes_threshold(cost_model):

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import os
 import struct
-import tempfile
 import warnings
 
 import numpy as np
 
-from .core import EmbeddingStore, TrialLabel, TrialRecord
+from .core import CODE_OF_TEXT, LABELS, EmbeddingStore, ScoreTable, \
+    TrialLabel, TrialRecord
 
 EMBEDDING_MAGIC = b"SASVEMB1"
 EMBEDDING_VERSION = 1
@@ -20,14 +22,23 @@ class FormatError(ValueError):
     """Malformed or truncated input file."""
 
 
+LABEL_TEXT = tuple(label.value for label in LABELS)
+
+
 def _atomic_write(path, data, mode="w"):
-    """Write via a temp file in the same directory, then rename."""
+    """Write data (str or bytes, or an iterable of them) via a temp file in
+    the same directory, then rename.
+
+    The temp file is created with mode 0666, so the umask sets the output's
+    permissions as it would for a plain open().
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory)
+    tmp = os.path.join(directory, f".sasv-{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         kwargs = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
         with os.fdopen(fd, mode, **kwargs) as f:
-            f.write(data)
+            f.writelines([data] if isinstance(data, (str, bytes)) else data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -72,42 +83,91 @@ def read_protocol(path):
 
 # ------------------------------------------------------------------- scores
 
-def _format_score(x):
-    # repr round-trips f64 exactly and always carries >= 9 significant digits
-    # for non-trivial values
-    return repr(float(x))
+# Lines per batch in read_scores and write_scores: bounds their extra memory
+# and keeps each batch cache-sized (batches of 4096 lines read 3e5 rows about
+# 10% faster than batches of 65536).
+SCORE_CHUNK_LINES = 4096
 
 
-def write_scores(path, rows):
-    """rows: iterable of (enroll_id, test_id, score, TrialLabel)."""
-    lines = [f"{e}\t{t}\t{_format_score(s)}\t{label.value}\n"
-             for e, t, s, label in rows]
-    _atomic_write(path, "".join(lines))
+def write_scores(path, table):
+    """table: a ScoreTable, or rows of (enroll_id, test_id, score, label)."""
+    if not isinstance(table, ScoreTable):
+        table = ScoreTable.from_rows(table)
+    rows = zip(table.enroll, table.test, table.scores.tolist(),
+               table.codes.tolist())
+
+    def chunks():
+        while batch := list(itertools.islice(rows, SCORE_CHUNK_LINES)):
+            # repr round-trips f64 exactly
+            yield "".join([f"{e}\t{t}\t{s!r}\t{LABEL_TEXT[c]}\n"
+                           for e, t, s, c in batch])
+
+    _atomic_write(path, chunks())
+
+
+def _score_line_error(line):
+    """Why one non-blank, non-comment score line is malformed, or None."""
+    parts = line.rstrip("\n").split("\t")
+    if len(parts) != 4:
+        return f"expected 4 tab-separated fields, got {len(parts)}"
+    score_text, label_text = parts[2], parts[3]
+    try:
+        score = float(score_text)
+    except ValueError:
+        return f"unparseable score {score_text!r}"
+    if not math.isfinite(score):
+        return f"non-finite score {score_text!r}"
+    try:
+        TrialLabel.from_string(label_text)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _score_columns(kept):
+    """(enroll ids, test ids, scores, codes) of score lines, or None if any
+    line is malformed."""
+    n = len(kept)
+    if n and set(map(str.count, kept, itertools.repeat("\t"))) != {3}:
+        return None
+    fields = "".join(kept).replace("\n", "\t").split("\t")
+    try:
+        scores = np.fromiter(map(float, fields[2:4 * n:4]), np.float64, n)
+        codes = np.fromiter(map(CODE_OF_TEXT.__getitem__, fields[3:4 * n:4]),
+                            np.int8, n)
+    except (ValueError, KeyError):
+        return None
+    if not np.isfinite(scores).all():
+        return None
+    return fields[0:4 * n:4], fields[1:4 * n:4], scores, codes
 
 
 def read_scores(path):
-    rows = []
+    """Parse a score TSV into a ScoreTable, SCORE_CHUNK_LINES lines at a time.
+
+    Blank lines and '#' comments are skipped.  Each chunk is checked and
+    converted column by column; a chunk that fails is scanned line by line
+    to report its first bad line as path:line.
+    """
+    enroll, test = [], []
+    scores, codes = [np.empty(0)], [np.empty(0, np.int8)]
     with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise FormatError(f"{path}:{lineno}: expected 4 tab-separated "
-                                  f"fields, got {len(parts)}")
-            enroll_id, test_id, score_text, label_text = parts
-            try:
-                score = float(score_text)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: unparseable score "
-                                  f"{score_text!r}") from exc
-            try:
-                label = TrialLabel.from_string(label_text)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
-            rows.append((enroll_id, test_id, score, label))
-    return rows
+        first_lineno = 1
+        while lines := list(itertools.islice(f, SCORE_CHUNK_LINES)):
+            columns = _score_columns(
+                [line for line in lines if line[0] not in "#\n"])
+            if columns is None:
+                for lineno, line in enumerate(lines, start=first_lineno):
+                    error = line[0] not in "#\n" and _score_line_error(line)
+                    if error:
+                        raise FormatError(f"{path}:{lineno}: {error}")
+            enroll += columns[0]
+            test += columns[1]
+            scores.append(columns[2])
+            codes.append(columns[3])
+            first_lineno += len(lines)
+    return ScoreTable(enroll, test, np.concatenate(scores),
+                      np.concatenate(codes))
 
 
 # --------------------------------------------------------------- embeddings
@@ -230,7 +290,8 @@ def checkpoint_to_json(model, config=None, dev_min_adcf=None,
         "dev_min_adcf": dev_min_adcf,
         "dev_threshold": dev_threshold,
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False) + "\n"
 
 
 def write_checkpoint(path, model, config=None, dev_min_adcf=None,
@@ -286,24 +347,19 @@ def read_checkpoint(path):
 
 # ---------------------------------------------------------------------- CSV
 
-def _format_g12(x):
-    return f"{x:.12g}"
-
-
 def write_det_csv(path, points):
     lines = ["p_fa,p_miss\n"]
-    lines += [f"{_format_g12(p_fa)},{_format_g12(p_miss)}\n"
-              for p_fa, p_miss in points]
+    lines += [f"{p_fa:.12g},{p_miss:.12g}\n" for p_fa, p_miss in points]
     _atomic_write(path, "".join(lines))
 
 
 def write_grid_csv(path, rows):
     lines = ["llr_asv,llr_cm,s_sasv,accept\n"]
-    lines += [f"{_format_g12(a)},{_format_g12(c)},{_format_g12(s)},"
-              f"{1 if accept else 0}\n" for a, c, s, accept in rows]
+    lines += [f"{a:.12g},{c:.12g},{s:.12g},{1 if accept else 0}\n"
+              for a, c, s, accept in rows]
     _atomic_write(path, "".join(lines))
 
 
 def write_report(path, report_dict):
-    _atomic_write(path, json.dumps(report_dict, sort_keys=True, indent=2)
-                  + "\n")
+    _atomic_write(path, json.dumps(report_dict, sort_keys=True, indent=2,
+                                   allow_nan=False) + "\n")

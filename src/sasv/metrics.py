@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TrialLabel
+from .core import NONTARGET, SPOOF, TARGET, label_codes
 
 # Tie convention: a trial scoring exactly at the threshold is ACCEPTED
 # (false alarm at equality, miss only for strictly lower scores).  Counting
@@ -33,14 +33,15 @@ class AdcfReport:
 
 
 def split_by_class(scores, labels):
-    """Partition scores into (tar, non, spf) arrays."""
+    """Partition scores into (tar, non, spf) arrays.
+
+    labels: TrialLabels, or their int8 codes (see core.label_codes).
+    """
     s = np.asarray(scores, dtype=np.float64)
     if len(labels) != s.shape[0]:
         raise ValueError("scores and labels differ in length")
-    lab = np.array([l.value for l in labels])
-    return (s[lab == TrialLabel.TARGET.value],
-            s[lab == TrialLabel.NONTARGET.value],
-            s[lab == TrialLabel.SPOOF.value])
+    codes = label_codes(labels)
+    return s[codes == TARGET], s[codes == NONTARGET], s[codes == SPOOF]
 
 
 def _rates(tar, non, spf, tau):

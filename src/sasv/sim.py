@@ -241,12 +241,11 @@ def boundary_grid(fusion, cost_model, spec=GridSpec()):
 
     if not isinstance(fusion, FusionConfig):
         raise ValueError("fusion must be a FusionConfig")
-    a_axis = np.linspace(spec.llr_asv_min, spec.llr_asv_max, spec.n_asv)
-    c_axis = np.linspace(spec.llr_cm_min, spec.llr_cm_max, spec.n_cm)
-    rows = []
-    for a in a_axis:
-        for c in c_axis:
-            s = float(fuse(a, c, fusion))
-            rows.append((float(a), float(c), s,
-                         bayes_accept(a, c, cost_model)))
-    return rows
+    a, c = np.meshgrid(
+        np.linspace(spec.llr_asv_min, spec.llr_asv_max, spec.n_asv),
+        np.linspace(spec.llr_cm_min, spec.llr_cm_max, spec.n_cm),
+        indexing="ij")
+    s = fuse(a, c, fusion)
+    accept = bayes_accept(a, c, cost_model)
+    return list(zip(a.ravel().tolist(), c.ravel().tolist(),
+                    s.ravel().tolist(), accept.ravel().tolist()))

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import TrialLabel, label_maps
+from .core import TrialLabel, label_codes, label_maps
 from .decision import CalibrationParams
 from .losses import LossWeights, SoftAdcfConfig, combined_loss_v1, \
     combined_loss_v2
@@ -118,10 +118,12 @@ class TrainConfig:
 
 @dataclass
 class Checkpoint:
+    """Best model so far; the dev fields are None if it was never scored."""
+
     epoch: int
     model: ModelParams
-    dev_min_adcf: float
-    dev_threshold: float
+    dev_min_adcf: float | None
+    dev_threshold: float | None
 
 
 def init_model(cfg, d_asv, d_cm, rng=None):
@@ -428,6 +430,7 @@ def train_joint(cfg, asv_store, cm_store, train_trials, dev_trials,
     e_tst_asv = asv_store.matrix([t.test_id for t in train_trials])
     e_tst_cm = cm_store.matrix([t.test_id for t in train_trials])
     labels = [t.label for t in train_trials]
+    dev_codes = label_codes([t.label for t in dev_trials])
 
     optimizer = OptimizerState(cfg.optimizer, cfg.lr)
     log = []
@@ -444,9 +447,8 @@ def train_joint(cfg, asv_store, cm_store, train_trials, dev_trials,
             optimizer.step(params, grads)
             apply_dict(model, params)
             epoch_losses.append(loss)
-        dev_s, _, _, dev_labels = score_trials(model, asv_store, cm_store,
-                                               dev_trials)
-        report = min_adcf(dev_s, dev_labels, cfg.cost_model, normalized=True)
+        dev_s, _, _, _ = score_trials(model, asv_store, cm_store, dev_trials)
+        report = min_adcf(dev_s, dev_codes, cfg.cost_model, normalized=True)
         log.append({
             "epoch": epoch,
             "train_loss": float(np.mean(epoch_losses)),
@@ -457,7 +459,7 @@ def train_joint(cfg, asv_store, cm_store, train_trials, dev_trials,
             best = Checkpoint(epoch, model.copy(), report.min_adcf,
                               report.min_threshold)
     if best is None:  # zero epochs: return the initial state unevaluated
-        best = Checkpoint(0, model.copy(), math.inf, 0.0)
+        best = Checkpoint(0, model.copy(), None, None)
     return best, log
 
 
@@ -518,10 +520,11 @@ def tune_fusion_rho(llr_asv, llr_cm, labels, cost_model, grid=None):
 
     if grid is None:
         grid = np.linspace(0.01, 0.99, 99)
+    codes = label_codes(labels)
     best_rho, best_val = None, math.inf
     for rho in grid:
         fused = fuse_nonlinear(llr_asv, llr_cm, float(rho))
-        val = min_adcf(fused, labels, cost_model).min_adcf
+        val = min_adcf(fused, codes, cost_model).min_adcf
         if val < best_val:
             best_rho, best_val = float(rho), val
     return best_rho, best_val

@@ -148,6 +148,36 @@ class TestCalibrateAndFuse:
         assert "label mismatch" in capsys.readouterr().err
 
 
+    def test_fuse_joins_cm_rows_by_trial_not_position(self, tmp_path):
+        out = self.make_sim(tmp_path)
+        cm = fileio.read_scores(out / "cm_scores.tsv")
+        shuffled = tmp_path / "cm_shuffled.tsv"
+        fileio.write_scores(shuffled, list(cm)[::-1])
+        fused = {}
+        for name, cm_path in (("same", out / "cm_scores.tsv"),
+                              ("shuffled", shuffled)):
+            fused[name] = tmp_path / f"fused_{name}.tsv"
+            assert main(["fuse", "--asv", str(out / "asv_scores.tsv"),
+                         "--cm", str(cm_path), "--rho", "0.3",
+                         "--out", str(fused[name])]) == 0
+        assert fused["same"].read_bytes() == fused["shuffled"].read_bytes()
+
+    def test_fuse_repeated_cm_trial_uses_last_row(self, tmp_path):
+        a = tmp_path / "a.tsv"
+        c = tmp_path / "c.tsv"
+        fileio.write_scores(a, [("e1", "t1", 1.0, TrialLabel.TARGET),
+                                ("e2", "t2", 2.0, TrialLabel.SPOOF)])
+        fileio.write_scores(c, [("e2", "t2", 5.0, TrialLabel.SPOOF),
+                                ("e1", "t1", 7.0, TrialLabel.TARGET),
+                                ("e2", "t2", 3.0, TrialLabel.SPOOF)])
+        fused = tmp_path / "f.tsv"
+        assert main(["fuse", "--asv", str(a), "--cm", str(c), "--rho", "1",
+                     "--out", str(fused)]) == 0
+        assert list(fileio.read_scores(fused)) == [
+            ("e1", "t1", 7.0, TrialLabel.TARGET),
+            ("e2", "t2", 3.0, TrialLabel.SPOOF)]
+
+
 class TestEval:
     def test_worked_instance_report(self, tmp_path):
         scores = tmp_path / "scores.tsv"
@@ -190,6 +220,52 @@ class TestEval:
         doc = json.loads(report.read_text())
         assert doc["cost_model"]["c_miss_tar"] == 2.0
         assert doc["cost_model"]["beta"] == pytest.approx(1.0)
+
+
+class TestNonFiniteScores:
+    """A nan/inf score is a format error at the reader, for every command."""
+
+    @pytest.fixture(params=["nan", "inf", "-inf"])
+    def bad_scores(self, request, tmp_path):
+        path = tmp_path / "bad.tsv"
+        write_worked_scores(path)
+        lines = path.read_text().splitlines(keepends=True)
+        e, t, _, label = lines[2].split("\t")
+        lines[2] = f"{e}\t{t}\t{request.param}\t{label}"
+        path.write_text("".join(lines))
+        return path, request.param
+
+    def assert_rejected(self, rc, capsys, path, text):
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{path}:3: non-finite score {text!r}" in err
+        assert "Traceback" not in err
+
+    def test_calibrate(self, tmp_path, capsys, bad_scores):
+        path, text = bad_scores
+        rc = main(["calibrate", "--scores", str(path), "--task", "cm",
+                   "--out", str(tmp_path / "c.json")])
+        self.assert_rejected(rc, capsys, path, text)
+
+    def test_fuse(self, tmp_path, capsys, bad_scores):
+        path, text = bad_scores
+        good = tmp_path / "good.tsv"
+        write_worked_scores(good)
+        rc = main(["fuse", "--asv", str(good), "--cm", str(path),
+                   "--out", str(tmp_path / "f.tsv")])
+        self.assert_rejected(rc, capsys, path, text)
+
+    def test_eval(self, tmp_path, capsys, bad_scores):
+        path, text = bad_scores
+        rc = main(["eval", "--scores", str(path),
+                   "--report", str(tmp_path / "r.json")])
+        self.assert_rejected(rc, capsys, path, text)
+
+    def test_det(self, tmp_path, capsys, bad_scores):
+        path, text = bad_scores
+        rc = main(["det", "--scores", str(path), "--negatives", "spoof",
+                   "--out", str(tmp_path / "d.csv")])
+        self.assert_rejected(rc, capsys, path, text)
 
 
 class TestDetAndGrid:
@@ -254,3 +330,28 @@ class TestTrainCommand:
         assert main(["grid", "--ckpt", str(ckpt), "--na", "3", "--nc", "3",
                      "--out", str(grid)]) == 0
         assert grid.read_text().startswith("llr_asv,llr_cm,s_sasv,accept")
+
+    def test_zero_epochs_writes_strict_json(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_target": 10, "n_nontarget": 10,
+                                   "n_spoof": 10, "n_speakers": 3,
+                                   "d_asv": 4, "d_cm": 3}))
+        sim = tmp_path / "sim"
+        main(["simulate", "--mode", "embeddings", "--config", str(cfg),
+              "--out-dir", str(sim)])
+        ckpt = tmp_path / "ckpt.json"
+        log = tmp_path / "log.jsonl"
+        proto = str(sim / "protocol.tsv")
+        assert main(["train", "--epochs", "0",
+                     "--asv-emb", str(sim / "asv_emb.bin"),
+                     "--cm-emb", str(sim / "cm_emb.bin"),
+                     "--train-proto", proto, "--dev-proto", proto,
+                     "--out", str(ckpt), "--log", str(log)]) == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        doc = json.loads(ckpt.read_text(), parse_constant=reject)
+        assert doc["dev_min_adcf"] is None
+        assert doc["config"]["best_epoch"] == 0
+        assert log.read_text() == ""

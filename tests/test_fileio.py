@@ -1,4 +1,7 @@
 import json
+import math
+import os
+import stat
 import struct
 
 import numpy as np
@@ -70,7 +73,7 @@ class TestScores:
         rows.append(("ex", "tx", 0.1 + 0.2, TrialLabel.SPOOF))
         write_scores(path, rows)
         back = read_scores(path)
-        assert back == rows  # bit-exact float round-trip via repr
+        assert list(back) == rows  # bit-exact float round-trip via repr
 
     def test_unparseable_score(self, tmp_path):
         path = tmp_path / "scores.tsv"
@@ -280,3 +283,21 @@ class TestCsvAndReports:
         fileio._atomic_write(str(path), "hello")
         assert path.read_text() == "hello"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077])
+    def test_atomic_write_honours_umask(self, tmp_path, umask):
+        path = tmp_path / "out.txt"
+        old = os.umask(umask)
+        try:
+            fileio._atomic_write(str(path), "hello")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~umask
+
+    def test_non_finite_json_is_refused(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_report(tmp_path / "r.json", {"a": math.inf})
+        with pytest.raises(ValueError):
+            checkpoint_to_json(init_model(TrainConfig(), 4, 3),
+                               dev_min_adcf=math.nan)
+        assert not (tmp_path / "r.json").exists()

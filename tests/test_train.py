@@ -280,6 +280,13 @@ class TestTrainJoint:
         ckpt, _ = train_joint(cfg, asv, cm, train, dev)
         assert ckpt.dev_min_adcf <= before
 
+    def test_zero_epochs_is_unevaluated(self):
+        cfg, asv, cm, train, dev = tiny_setup(epochs=0)
+        ckpt, log = train_joint(cfg, asv, cm, train, dev)
+        assert log == []
+        assert ckpt.epoch == 0
+        assert ckpt.dev_min_adcf is None and ckpt.dev_threshold is None
+
     def test_missing_embedding_rejected(self):
         cfg, asv, cm, train, dev = tiny_setup()
         bad = train[0].__class__("ghost-enr", train[0].test_id,
