@@ -194,12 +194,8 @@ def _cmd_fuse(args):
     cm_calib = _load_calibration(args.cm_calib) if args.cm_calib \
         else CalibrationParams(0.0, 1.0)
     config = FusionConfig(args.mode, args.rho)
-    if len(cm_row) == len(cm) and asv.enroll == cm.enroll \
-            and asv.test == cm.test:
-        rows = np.arange(len(cm))  # same unrepeated trials, same order
-    else:
-        rows = np.fromiter(map(cm_row.get, zip(asv.enroll, asv.test),
-                               itertools.repeat(-1)), np.intp, len(asv))
+    rows = np.fromiter(map(cm_row.get, zip(asv.enroll, asv.test),
+                           itertools.repeat(-1)), np.intp, len(asv))
     bad = rows < 0
     bad[~bad] = asv.codes[~bad] != cm.codes[rows[~bad]]
     if bad.any():

@@ -2,13 +2,39 @@
 
 The digests were taken from the row-at-a-time implementation that preceded
 the columnar ScoreTable path; any change to them is a change of output.
-They were taken on x86_64 with numpy 2.4: a platform whose exp/log round
-differently in the last bit writes different fused scores.
+Simulated scores, calibration, fused scores and grid accept flags all go
+through numpy's exp/log/log1p/sqrt/cos/sin and math.log, whose last bit
+differs between builds and CPU code paths: numpy 2.4 with its AVX-512 loops
+switched off (NPY_DISABLE_CPU_FEATURES=X86_V4) already writes different
+simulated scores, calibrations and fused scores.
+The digests are compared only where those kernels give the same bits, on
+fixed inputs, as where the digests were taken; elsewhere the commands still
+run but the comparison is skipped.
 """
 
 import hashlib
+import math
+
+import numpy as np
+import pytest
 
 from sasv.cli import main
+
+# sha256 of float_kernel_bytes() where GOLDEN was taken (x86_64, AVX-512,
+# numpy 2.4.6)
+FLOAT_KERNELS = \
+    "31d061673e0968254f592ac31e89458663299afdf1997137bd54a849983803ed"
+
+
+def float_kernel_bytes():
+    """The float kernels the score path calls, applied to fixed inputs."""
+    u = np.arange(4096) / 4096.0
+    x = np.linspace(-40.0, 40.0, 4097)
+    outputs = [np.exp(x), np.log(u[1:]), np.log1p(-u), np.sqrt(u),
+               np.cos(2.0 * math.pi * u), np.sin(2.0 * math.pi * u),
+               np.array([math.log(v) for v in (0.05, 0.1, 0.5, 0.9, 10.0)])]
+    return b"".join(out.tobytes() for out in outputs)
+
 
 GOLDEN = {
     "asv_scores.tsv":
@@ -79,6 +105,9 @@ def test_score_pipeline_outputs_are_pinned(tmp_path):
     ]
     for argv in commands:
         assert main(argv) == 0, argv
+    if hashlib.sha256(float_kernel_bytes()).hexdigest() != FLOAT_KERNELS:
+        pytest.skip("exp/log/trig kernels round differently from where the "
+                    "digests were taken")
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes())
                .hexdigest() for name in GOLDEN}
     assert digests == GOLDEN
