@@ -7,10 +7,10 @@ scoring heads for a differentiable a-DCF objective.
 
 from .core import (CostModel, DEFAULT_COST_MODEL, EmbeddingStore, ScoreTable,
                    TrialLabel, TrialRecord, derive_beta, derive_rho,
-                   label_codes, label_maps)
+                   label_codes)
 from .decision import (CalibrationParams, FusionConfig, asv_bayes_threshold,
                        bayes_accept, calibrate, fit_calibration, fuse,
-                       fuse_linear, fuse_nonlinear)
+                       fuse_linear, fuse_nonlinear, fuse_vjp, sigmoid)
 from .losses import (LossWeights, SoftAdcfConfig, bce, combined_loss_v1,
                      combined_loss_v2, soft_adcf)
 from .metrics import (AdcfReport, ErrorRates, actual_adcf, adcf_at,

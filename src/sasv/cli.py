@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import os
@@ -19,7 +20,7 @@ from .losses import LossWeights
 from .metrics import actual_adcf, eer, det_points, min_adcf, split_by_class
 from .sim import EmbeddingSimConfig, GridSpec, ScoreSimConfig, \
     boundary_grid, simulate_embeddings, simulate_scores
-from .train import TrainConfig, train_joint
+from .train import ARCHITECTURES, TrainConfig, train_joint
 
 
 def _add_cost_flags(parser):
@@ -53,10 +54,6 @@ def _build_parser():
     parser = argparse.ArgumentParser(
         prog="sasv",
         description="Spoofing-robust speaker verification back-end")
-    parser.add_argument("--jobs", type=int,
-                        default=int(os.environ.get("SASV_JOBS", "1")),
-                        help="worker fan-out for evaluation (default 1, "
-                             "fully serial)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate synthetic trials")
@@ -89,8 +86,7 @@ def _build_parser():
     p.add_argument("--report", required=True)
 
     p = sub.add_parser("train", help="jointly train a scoring back-end")
-    p.add_argument("--arch", choices=["mlp-mlp", "cosine-mlp", "wcos-mlp"],
-                   default="wcos-mlp")
+    p.add_argument("--arch", choices=ARCHITECTURES, default="wcos-mlp")
     p.add_argument("--fusion", choices=["linear", "nonlinear"],
                    default="nonlinear")
     p.add_argument("--loss", choices=["v1", "v2"], default="v1")
@@ -131,21 +127,33 @@ def _build_parser():
     return parser
 
 
+def _load_sim_overrides(path, fields):
+    """The simulator fields a --config JSON object sets."""
+    with open(path, encoding="utf-8") as f:
+        doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
+    for key in doc:
+        if key not in fields:
+            raise ValueError(f"{path}: unknown field {key!r} "
+                             f"(expected one of: {', '.join(fields)})")
+    return doc
+
+
 def _cmd_simulate(args):
     os.makedirs(args.out_dir, exist_ok=True)
-    overrides = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as f:
-            overrides = json.load(f)
     if args.mode == "scores":
         cfg = ScoreSimConfig(seed=args.seed)
-        if overrides:
-            label_of = {label.value: label for label in TrialLabel}
-            for field_name in ("means", "covs", "counts"):
-                if field_name in overrides:
-                    new = {label_of[k]: v
-                           for k, v in overrides[field_name].items()}
-                    getattr(cfg, field_name).update(new)
+        if args.config:
+            overrides = _load_sim_overrides(args.config,
+                                            ("means", "covs", "counts"))
+            for field_name, per_label in overrides.items():
+                if not isinstance(per_label, dict):
+                    raise ValueError(f"{args.config}: {field_name} must map "
+                                     "trial labels to values")
+                getattr(cfg, field_name).update(
+                    {TrialLabel.from_string(k): v
+                     for k, v in per_label.items()})
             cfg = ScoreSimConfig(cfg.means, cfg.covs, cfg.counts, args.seed)
         llr_asv, llr_cm, labels = simulate_scores(cfg)
         enroll = [f"e{i:06d}" for i in range(len(labels))]
@@ -156,6 +164,10 @@ def _cmd_simulate(args):
         fileio.write_scores(os.path.join(args.out_dir, "cm_scores.tsv"),
                             ScoreTable(enroll, test, llr_cm, codes))
     else:
+        fields = [f.name for f in dataclasses.fields(EmbeddingSimConfig)
+                  if f.name != "seed"]
+        overrides = _load_sim_overrides(args.config, fields) \
+            if args.config else {}
         cfg = EmbeddingSimConfig(**overrides, seed=args.seed)
         asv_store, cm_store, trials = simulate_embeddings(cfg)
         fileio.write_embeddings(os.path.join(args.out_dir, "asv_emb.bin"),
@@ -295,11 +307,7 @@ def _cmd_det(args):
 def _cmd_grid(args):
     cm = _cost_model(args)
     if args.ckpt:
-        model, _ = fileio.read_checkpoint(args.ckpt)
-        if model.fusion_mode == "nonlinear":
-            fusion = FusionConfig("nonlinear", model.rho_tilde)
-        else:
-            fusion = FusionConfig("linear")
+        fusion = fileio.read_checkpoint(args.ckpt)[0].fusion
     elif args.mode:
         fusion = FusionConfig(args.mode, args.rho)
     else:
@@ -324,8 +332,6 @@ _COMMANDS = {
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:

@@ -82,21 +82,6 @@ class ScoreTable:
         return zip(self.enroll, self.test, self.scores.tolist(), labels)
 
 
-def label_maps(label):
-    """Map a trial label to (y_sasv, y_asv, y_cm) supervision bits.
-
-    y_asv is None for spoof trials: they carry no speaker-detection
-    supervision and are excluded from the auxiliary ASV loss.
-    """
-    if label is TrialLabel.TARGET:
-        return 1, 1, 1
-    if label is TrialLabel.NONTARGET:
-        return 0, 0, 1
-    if label is TrialLabel.SPOOF:
-        return 0, None, 0
-    raise ValueError(f"not a TrialLabel: {label!r}")
-
-
 _ID_FORBIDDEN = ("\t", "\n", "\r")
 
 

@@ -50,13 +50,15 @@ class CalibrationFitError(RuntimeError):
     pass
 
 
-def _sigmoid(z):
+def sigmoid(z):
+    """Logistic 1 / (1 + e^-z), overflow-safe; a float for a scalar."""
+    z = np.asarray(z, dtype=np.float64)
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def _logistic_nll(w0, w1, s, y):
@@ -83,7 +85,7 @@ def fit_calibration(scores, labels):
     nll = _logistic_nll(w0, w1, s, y)
     for _ in range(FIT_MAX_ITER):
         z = w0 + w1 * s
-        p = _sigmoid(z)
+        p = sigmoid(z)
         r = p - y
         g0 = float(np.sum(r))
         g1 = float(np.sum(r * s))
@@ -183,3 +185,20 @@ def fuse(llr_asv, llr_cm, config):
     if config.mode == "linear":
         return fuse_linear(llr_asv, llr_cm)
     return fuse_nonlinear(llr_asv, llr_cm, config.rho_tilde)
+
+
+def fuse_vjp(llr_asv, llr_cm, config, grad):
+    """Backward pass of `fuse`: (grad . ds/dllr_asv, grad . ds/dllr_cm,
+    sum of grad . ds/drho_tilde) for an upstream gradient `grad` on s.
+
+    The rho_tilde term is 0.0 for linear fusion.
+    """
+    if config.mode == "linear":
+        return grad * LINEAR_FUSION_SCALE, grad * LINEAR_FUSION_SCALE, 0.0
+    r = config.rho_tilde
+    m = np.maximum(-llr_asv, -llr_cm)
+    ea = np.exp(-llr_asv - m)
+    eb = np.exp(-llr_cm - m)
+    denom = (1.0 - r) * ea + r * eb
+    return (grad * ((1.0 - r) * ea / denom), grad * (r * eb / denom),
+            float(np.sum(grad * ((ea - eb) / denom))))

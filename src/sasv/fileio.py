@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -46,6 +47,26 @@ def _atomic_write(path, data, mode="w"):
         raise
 
 
+@contextlib.contextmanager
+def _open_text(path):
+    """Open a UTF-8 text file; a byte that is not UTF-8 raises FormatError
+    naming path:line."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            yield f
+        except UnicodeDecodeError:
+            # the decoder saw one buffer of the file: find the line afresh
+            with open(path, "rb") as raw:
+                lines = raw.read().splitlines()
+            for lineno, line in enumerate(lines, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise FormatError(f"{path}:{lineno}: not UTF-8 text "
+                                      f"({exc.reason})") from None
+            raise
+
+
 # ---------------------------------------------------------------- protocols
 
 def write_protocol(path, records):
@@ -57,7 +78,7 @@ def write_protocol(path, records):
 def read_protocol(path):
     records = []
     seen = set()
-    with open(path, encoding="utf-8") as f:
+    with _open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
@@ -151,7 +172,7 @@ def read_scores(path):
     """
     enroll, test = [], []
     scores, codes = [np.empty(0)], [np.empty(0, np.int8)]
-    with open(path, encoding="utf-8") as f:
+    with _open_text(path) as f:
         first_lineno = 1
         while lines := list(itertools.islice(f, SCORE_CHUNK_LINES)):
             columns = _score_columns(
@@ -266,9 +287,6 @@ def _mlp_from_json(obj, where):
         raise FormatError(f"{where}: malformed MLP block: {exc}") from exc
 
 
-KNOWN_ARCHITECTURES = ("mlp-mlp", "cosine-mlp", "wcos-mlp")
-
-
 def checkpoint_to_json(model, config=None, dev_min_adcf=None,
                        dev_threshold=None):
     """Canonical JSON text for a trained model snapshot."""
@@ -303,7 +321,7 @@ def write_checkpoint(path, model, config=None, dev_min_adcf=None,
 def read_checkpoint(path):
     """Returns (ModelParams, metadata dict with config/dev fields)."""
     from .decision import CalibrationParams
-    from .train import ModelParams
+    from .train import ARCHITECTURES, ModelParams
 
     with open(path, encoding="utf-8") as f:
         try:
@@ -313,7 +331,7 @@ def read_checkpoint(path):
     if not isinstance(doc, dict) or doc.get("format") != "sasv-checkpoint":
         raise FormatError(f"{path}: not a checkpoint file")
     arch = doc.get("architecture")
-    if arch not in KNOWN_ARCHITECTURES:
+    if arch not in ARCHITECTURES:
         raise FormatError(f"{path}: unknown architecture tag {arch!r}")
     try:
         w_asv = doc["w_asv"]

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TrialLabel, label_maps
+from .core import LABELS, NONTARGET, SPOOF, TARGET, label_codes
+from .decision import sigmoid
 from .metrics import default_system_cost
 
 PROB_EPS = 1e-7
@@ -51,16 +52,6 @@ class LossWeights:
             raise ValueError("v2 weights are all zero")
 
 
-def _sigmoid(z):
-    z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def bce(value, y, input_kind="logit"):
     """Binary cross-entropy of one prediction; returns (loss, dloss/dinput).
 
@@ -70,7 +61,7 @@ def bce(value, y, input_kind="logit"):
     if input_kind == "logit":
         x = float(value)
         loss = max(x, 0.0) - x * y + math.log1p(math.exp(-abs(x)))
-        grad = float(_sigmoid(np.array(x))) - y
+        grad = sigmoid(x) - y
         return loss, grad
     if input_kind == "probability":
         p = min(max(float(value), PROB_EPS), 1.0 - PROB_EPS)
@@ -87,18 +78,15 @@ def bce_logits_mean(logits, ys):
     if x.size == 0:
         raise ValueError("empty batch in BCE")
     losses = np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))
-    grads = (_sigmoid(x) - y) / x.size
+    grads = (sigmoid(x) - y) / x.size
     return float(np.mean(losses)), grads
 
 
 def _class_masks(labels):
-    lab = np.array([l.value for l in labels])
-    masks = {
-        TrialLabel.TARGET: lab == TrialLabel.TARGET.value,
-        TrialLabel.NONTARGET: lab == TrialLabel.NONTARGET.value,
-        TrialLabel.SPOOF: lab == TrialLabel.SPOOF.value,
-    }
-    for label, mask in masks.items():
+    """Target, nontarget and spoof masks of TrialLabels or their codes."""
+    codes = label_codes(labels)
+    masks = [codes == code for code in (TARGET, NONTARGET, SPOOF)]
+    for label, mask in zip(LABELS, masks):
         if not np.any(mask):
             raise ValueError(f"no {label.value} trials in batch; "
                              "soft a-DCF needs all three classes")
@@ -119,14 +107,13 @@ def soft_adcf(scores, labels, cfg):
     grad_tau = 0.0
     loss = 0.0
     specs = (
-        (TrialLabel.TARGET, cm.c_miss_tar * cm.pi_tar, -1.0),
-        (TrialLabel.NONTARGET, cm.c_fa_non * cm.pi_non, +1.0),
-        (TrialLabel.SPOOF, cm.c_fa_spf * cm.pi_spf, +1.0),
+        (cm.c_miss_tar * cm.pi_tar, -1.0),
+        (cm.c_fa_non * cm.pi_non, +1.0),
+        (cm.c_fa_spf * cm.pi_spf, +1.0),
     )
-    for label, weight, sign in specs:
-        mask = masks[label]
+    for mask, (weight, sign) in zip(masks, specs):
         z = sign * a * (s[mask] - cfg.tau)
-        p = _sigmoid(z)
+        p = sigmoid(z)
         loss += weight * float(np.mean(p))
         d = weight * a * p * (1.0 - p) / np.count_nonzero(mask)
         grad[mask] += sign * d
@@ -142,16 +129,17 @@ def soft_adcf(scores, labels, cfg):
 def combined_loss_v1(s_sasv, labels, weights, cfg):
     """beta1 * soft a-DCF + beta2 * mean BCE(sigmoid(s_sasv), y_sasv)."""
     s = np.asarray(s_sasv, dtype=np.float64)
+    codes = label_codes(labels)
     loss = 0.0
     grad = np.zeros_like(s)
     grad_tau = 0.0
     if weights.beta1 > 0:
-        l_adcf, g_adcf, g_tau = soft_adcf(s, labels, cfg)
+        l_adcf, g_adcf, g_tau = soft_adcf(s, codes, cfg)
         loss += weights.beta1 * l_adcf
         grad += weights.beta1 * g_adcf
         grad_tau += weights.beta1 * g_tau
     if weights.beta2 > 0:
-        y = np.array([label_maps(l)[0] for l in labels], dtype=np.float64)
+        y = (codes == TARGET).astype(np.float64)
         l_bce, g_bce = bce_logits_mean(s, y)
         loss += weights.beta2 * l_bce
         grad += weights.beta2 * g_bce
@@ -168,29 +156,27 @@ def combined_loss_v2(llr_asv, llr_cm, s_sasv, labels, weights, cfg):
     s = np.asarray(s_sasv, dtype=np.float64)
     la = np.asarray(llr_asv, dtype=np.float64)
     lc = np.asarray(llr_cm, dtype=np.float64)
+    codes = label_codes(labels)
     loss = 0.0
     grad_s = np.zeros_like(s)
     grad_la = np.zeros_like(la)
     grad_lc = np.zeros_like(lc)
     grad_tau = 0.0
     if weights.lambda1 > 0:
-        l_adcf, g_adcf, g_tau = soft_adcf(s, labels, cfg)
+        l_adcf, g_adcf, g_tau = soft_adcf(s, codes, cfg)
         loss += weights.lambda1 * l_adcf
         grad_s += weights.lambda1 * g_adcf
         grad_tau += weights.lambda1 * g_tau
-    maps = [label_maps(l) for l in labels]
+    bonafide = codes != SPOOF
     if weights.lambda2 > 0:
-        keep = np.array([m[1] is not None for m in maps])
-        if not np.any(keep):
+        if not np.any(bonafide):
             raise ValueError("aux ASV BCE needs at least one bonafide trial")
-        y_asv = np.array([m[1] for m in maps if m[1] is not None],
-                         dtype=np.float64)
-        l_asv, g_asv = bce_logits_mean(la[keep], y_asv)
+        y_asv = (codes[bonafide] == TARGET).astype(np.float64)
+        l_asv, g_asv = bce_logits_mean(la[bonafide], y_asv)
         loss += weights.lambda2 * l_asv
-        grad_la[keep] += weights.lambda2 * g_asv
+        grad_la[bonafide] += weights.lambda2 * g_asv
     if weights.lambda3 > 0:
-        y_cm = np.array([m[2] for m in maps], dtype=np.float64)
-        l_cm, g_cm = bce_logits_mean(lc, y_cm)
+        l_cm, g_cm = bce_logits_mean(lc, bonafide.astype(np.float64))
         loss += weights.lambda3 * l_cm
         grad_lc += weights.lambda3 * g_cm
     return loss, grad_s, grad_la, grad_lc, grad_tau

@@ -136,11 +136,12 @@ def det_points(pos_scores, neg_scores):
 
     p_fa is nondecreasing and p_miss nonincreasing along the returned list.
     """
-    points, _ = _roc_vertices(pos_scores, neg_scores)
-    return points
+    p_fa, p_miss, _ = _roc_vertices(pos_scores, neg_scores)
+    return list(zip(p_fa.tolist(), p_miss.tolist()))
 
 
 def _roc_vertices(pos_scores, neg_scores):
+    """(p_fa, p_miss, thresholds) arrays, from above the top score down."""
     pos = np.sort(np.asarray(pos_scores, dtype=np.float64))
     neg = np.sort(np.asarray(neg_scores, dtype=np.float64))
     if pos.size == 0 or neg.size == 0:
@@ -149,14 +150,12 @@ def _roc_vertices(pos_scores, neg_scores):
     taus = np.concatenate(([uniq[0] + 1.0], uniq))
     p_miss = np.searchsorted(pos, taus, side="left") / pos.size
     p_fa = 1.0 - np.searchsorted(neg, taus, side="left") / neg.size
-    return list(zip(p_fa.tolist(), p_miss.tolist())), taus
+    return p_fa, p_miss, taus
 
 
 def eer(pos_scores, neg_scores):
     """Equal error rate with linear interpolation at the ROC crossing."""
-    points, taus = _roc_vertices(pos_scores, neg_scores)
-    p_fa = np.array([p for p, _ in points])
-    p_miss = np.array([m for _, m in points])
+    p_fa, p_miss, taus = _roc_vertices(pos_scores, neg_scores)
     diff = p_miss - p_fa
     # first vertex has diff >= 0 (miss starts at <=1, fa at 0... miss may be 0)
     idx = np.nonzero(diff <= 0)[0]

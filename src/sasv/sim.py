@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import EmbeddingStore, TrialLabel, TrialRecord
-from .decision import FusionConfig, bayes_accept, fuse_nonlinear
+from .core import LABELS, EmbeddingStore, TrialLabel, TrialRecord
+from .decision import FusionConfig, bayes_accept
 
 # Default score-space geometry: spoof trials separated mainly along the CM
 # axis, targets/nontargets along the ASV axis.
@@ -22,7 +23,10 @@ DEFAULT_CLASS_MEANS = {
 def gaussian_draws(rng, n):
     """n standard normal draws via Box-Muller on counter-based uniforms.
 
-    Bit-stable across platforms given the same Philox-seeded generator.
+    The uniforms are the same on every platform for the same Philox seed;
+    the draws are not bit-stable, because numpy's log1p/cos/sin may round
+    differently in the last bit on different CPUs (its AVX-512 and AVX2
+    loops do).
     """
     pairs = (n + 1) // 2
     u1 = rng.random(pairs)
@@ -49,11 +53,20 @@ class ScoreSimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for label in (TrialLabel.TARGET, TrialLabel.NONTARGET,
-                      TrialLabel.SPOOF):
-            if self.counts[label] < 1:
-                raise ValueError(f"count for {label.value} must be >= 1")
-            cov = np.asarray(self.covs[label], dtype=np.float64)
+        for label in LABELS:
+            count = self.counts[label]
+            if not isinstance(count, numbers.Integral) or count < 1:
+                raise ValueError(f"count for {label.value} must be an "
+                                 "integer >= 1")
+            try:
+                mean = np.asarray(self.means[label], dtype=np.float64)
+                cov = np.asarray(self.covs[label], dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ValueError(f"mean and covariance for {label.value} "
+                                 "must be numbers") from None
+            if mean.shape != (2,) or not np.all(np.isfinite(mean)):
+                raise ValueError(f"mean for {label.value} must be two "
+                                 "finite numbers")
             if cov.shape != (2, 2) or not np.allclose(cov, cov.T):
                 raise ValueError(f"covariance for {label.value} must be "
                                  "symmetric 2x2")
@@ -66,7 +79,7 @@ def simulate_scores(cfg):
     """Seeded per-class Gaussian draws; returns (llr_asv, llr_cm, labels)."""
     rng = make_rng(cfg.seed)
     llr_asv, llr_cm, labels = [], [], []
-    for label in (TrialLabel.TARGET, TrialLabel.NONTARGET, TrialLabel.SPOOF):
+    for label in LABELS:
         n = cfg.counts[label]
         cov = np.asarray(cfg.covs[label], dtype=np.float64)
         chol = np.linalg.cholesky(cov)
@@ -122,6 +135,12 @@ class EmbeddingSimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            kind = numbers.Integral if isinstance(f.default, int) \
+                else numbers.Real
+            value = getattr(self, f.name)
+            if not isinstance(value, kind) or not abs(value) < math.inf:
+                raise ValueError(f"{f.name} must be a finite {f.type}")
         if self.d_asv < 2 or self.d_cm < 2:
             raise ValueError("embedding dims must be >= 2")
         if self.sigma_w <= 0:
@@ -201,7 +220,7 @@ def split_trials(trials, dev_fraction=0.5, seed=0):
         raise ValueError("dev_fraction must lie in (0,1)")
     rng = make_rng(seed)
     train, dev = [], []
-    for label in (TrialLabel.TARGET, TrialLabel.NONTARGET, TrialLabel.SPOOF):
+    for label in LABELS:
         subset = [t for t in trials if t.label is label]
         order = np.arange(len(subset))
         rng.shuffle(order)

@@ -7,8 +7,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import TrialLabel, label_codes, label_maps
-from .decision import CalibrationParams
+from .core import SPOOF, TARGET, label_codes
+from .decision import CalibrationParams, FusionConfig, calibrate, fuse, \
+    fuse_vjp
 from .losses import LossWeights, SoftAdcfConfig, combined_loss_v1, \
     combined_loss_v2
 from .metrics import min_adcf
@@ -68,20 +69,16 @@ class ModelParams:
     def rho_tilde(self):
         return _sigmoid(self.rho_logit)
 
+    @property
+    def fusion(self):
+        return FusionConfig(self.fusion_mode, self.rho_tilde)
+
     def copy(self):
-        return ModelParams(
-            architecture=self.architecture,
-            fusion_mode=self.fusion_mode,
-            d_asv=self.d_asv,
-            d_cm=self.d_cm,
-            cm_mlp=self.cm_mlp.copy(),
+        """A copy that shares no array with this model."""
+        return replace(
+            self, cm_mlp=self.cm_mlp.copy(),
             asv_mlp=None if self.asv_mlp is None else self.asv_mlp.copy(),
-            w_asv=None if self.w_asv is None else self.w_asv.copy(),
-            asv_calib=self.asv_calib,
-            cm_calib=self.cm_calib,
-            rho_logit=self.rho_logit,
-            tau=self.tau,
-        )
+            w_asv=None if self.w_asv is None else self.w_asv.copy())
 
 
 @dataclass
@@ -282,40 +279,23 @@ def forward_batch(model, e_enr, e_tst_asv, e_tst_cm):
     x_cm = np.concatenate([e_tst_asv, e_tst_cm], axis=1)
     s_cm, cache["cm_tape"] = mlp_forward(model.cm_mlp, x_cm)
 
-    llr_a = model.asv_calib.w0 + model.asv_calib.w1 * s_asv
-    llr_c = model.cm_calib.w0 + model.cm_calib.w1 * s_cm
+    llr_a = calibrate(s_asv, model.asv_calib)
+    llr_c = calibrate(s_cm, model.cm_calib)
     cache["s_asv"], cache["s_cm"] = s_asv, s_cm
     cache["llr_a"], cache["llr_c"] = llr_a, llr_c
-
-    if model.fusion_mode == "linear":
-        s = (llr_a + llr_c) / math.sqrt(6.0)
-    else:
-        r = model.rho_tilde
-        m = np.maximum(-llr_a, -llr_c)
-        ea = np.exp(-llr_a - m)
-        eb = np.exp(-llr_c - m)
-        denom = (1.0 - r) * ea + r * eb
-        s = -(m + np.log(denom))
-        cache["fuse_wa"] = (1.0 - r) * ea / denom
-        cache["fuse_wb"] = r * eb / denom
-        cache["fuse_dr"] = (ea - eb) / denom
-        cache["rho"] = r
-    return s, cache
+    return fuse(llr_a, llr_c, model.fusion), cache
 
 
 def backward_batch(model, cache, grad_s, grad_llr_a_aux=None,
                    grad_llr_c_aux=None, calib_gradients="both"):
     """Chain loss gradients down to every trainable; returns a grad dict."""
     grads = {}
-    if model.fusion_mode == "linear":
-        g_a_fused = grad_s / math.sqrt(6.0)
-        g_c_fused = grad_s / math.sqrt(6.0)
-    else:
-        g_a_fused = grad_s * cache["fuse_wa"]
-        g_c_fused = grad_s * cache["fuse_wb"]
-        r = cache["rho"]
-        grads["rho_logit"] = np.float64(
-            float(np.sum(grad_s * cache["fuse_dr"])) * r * (1.0 - r))
+    fusion = model.fusion
+    g_a_fused, g_c_fused, g_rho = fuse_vjp(cache["llr_a"], cache["llr_c"],
+                                           fusion, grad_s)
+    if fusion.mode == "nonlinear":
+        r = fusion.rho_tilde
+        grads["rho_logit"] = np.float64(g_rho * r * (1.0 - r))
 
     g_a_aux = np.zeros_like(g_a_fused) if grad_llr_a_aux is None \
         else grad_llr_a_aux
@@ -368,22 +348,21 @@ def score_trials(model, asv_store, cm_store, trials):
 # ---------------------------------------------------------------- training
 
 def _stratified_batches(labels, batch_size, rng):
-    """Deterministic batches with at least one trial of each class."""
-    n = len(labels)
-    by_class = {}
-    for idx, label in enumerate(labels):
-        by_class.setdefault(label, []).append(idx)
-    n_batches = max(1, -(-n // batch_size))
-    n_batches = min(n_batches, *(len(v) for v in by_class.values()))
+    """Deterministic batches with at least one trial of each class.
+
+    labels: TrialLabels or their codes.
+    """
+    codes = label_codes(labels)
+    by_class = [idxs for idxs in (np.flatnonzero(codes == code)
+                                  for code in range(3)) if idxs.size]
+    n_batches = max(1, -(-codes.size // batch_size))
+    n_batches = min(n_batches, *(idxs.size for idxs in by_class))
     batches = [[] for _ in range(n_batches)]
-    for label in (TrialLabel.TARGET, TrialLabel.NONTARGET, TrialLabel.SPOOF):
-        if label not in by_class:
-            continue
-        idxs = np.array(by_class[label])
+    for idxs in by_class:
         rng.shuffle(idxs)
         for b, chunk in enumerate(np.array_split(idxs, n_batches)):
-            batches[b].extend(chunk.tolist())
-    return [np.array(b) for b in batches]
+            batches[b].append(chunk)
+    return [np.concatenate(b) for b in batches]
 
 
 def _batch_loss_and_grads(model, cfg, s, cache, labels):
@@ -429,7 +408,7 @@ def train_joint(cfg, asv_store, cm_store, train_trials, dev_trials,
     e_enr = asv_store.matrix([t.enroll_id for t in train_trials])
     e_tst_asv = asv_store.matrix([t.test_id for t in train_trials])
     e_tst_cm = cm_store.matrix([t.test_id for t in train_trials])
-    labels = [t.label for t in train_trials]
+    codes = label_codes([t.label for t in train_trials])
     dev_codes = label_codes([t.label for t in dev_trials])
 
     optimizer = OptimizerState(cfg.optimizer, cfg.lr)
@@ -437,12 +416,11 @@ def train_joint(cfg, asv_store, cm_store, train_trials, dev_trials,
     best = None
     for epoch in range(1, cfg.epochs + 1):
         epoch_losses = []
-        for batch in _stratified_batches(labels, cfg.batch_size, rng):
+        for batch in _stratified_batches(codes, cfg.batch_size, rng):
             s, cache = forward_batch(model, e_enr[batch], e_tst_asv[batch],
                                      e_tst_cm[batch])
-            batch_labels = [labels[i] for i in batch]
             loss, grads = _batch_loss_and_grads(model, cfg, s, cache,
-                                                batch_labels)
+                                                codes[batch])
             params = trainable_dict(model)
             optimizer.step(params, grads)
             apply_dict(model, params)
@@ -472,21 +450,16 @@ def pretrain_heads(cfg, asv_store, cm_store, trials):
     e_enr = asv_store.matrix([t.enroll_id for t in trials])
     e_tst_asv = asv_store.matrix([t.test_id for t in trials])
     e_tst_cm = cm_store.matrix([t.test_id for t in trials])
-    labels = [t.label for t in trials]
-    maps = [label_maps(l) for l in labels]
-    asv_keep = np.array([m[1] is not None for m in maps])
-    y_asv = np.array([m[1] for m in maps if m[1] is not None],
-                     dtype=np.float64)
-    y_cm = np.array([m[2] for m in maps], dtype=np.float64)
-
-    for branch, keep, y in (("asv", asv_keep, y_asv),
-                            ("cm", np.ones(len(trials), bool), y_cm)):
+    codes = label_codes([t.label for t in trials])
+    bonafide = codes != SPOOF
+    # the ASV branch learns target vs nontarget on bonafide trials only
+    for branch, keep, y in (("asv", bonafide, codes == TARGET),
+                            ("cm", np.ones(codes.size, bool), bonafide)):
         params = trainable_dict(model, branch)
         if not params:
             continue
         optimizer = OptimizerState(cfg.optimizer, cfg.lr)
         idx_all = np.nonzero(keep)[0]
-        lookup = {int(i): k for k, i in enumerate(idx_all)}
         n_batches = max(1, -(-idx_all.size // cfg.batch_size))
         for _ in range(cfg.epochs):
             order = idx_all.copy()
@@ -494,8 +467,7 @@ def pretrain_heads(cfg, asv_store, cm_store, trials):
             for chunk in np.array_split(order, n_batches):
                 s, cache = forward_batch(model, e_enr[chunk],
                                          e_tst_asv[chunk], e_tst_cm[chunk])
-                ys = np.array([y[lookup[int(i)]] for i in chunk],
-                              dtype=np.float64)
+                ys = y[chunk].astype(np.float64)
                 if branch == "asv":
                     _, g = bce_logits_mean(cache["llr_a"], ys)
                     grads = backward_batch(model, cache,

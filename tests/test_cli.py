@@ -40,6 +40,15 @@ class TestTopLevel:
                   "--report", str(tmp_path / "r.json")])
         assert exc.value.code == 2
 
+    def test_invalid_utf8_is_error_naming_line(self, tmp_path, capsys):
+        path = tmp_path / "scores.tsv"
+        path.write_bytes(b"e1\tt1\t1.0\ttarget\ne2\xff\tt2\t0.0\tspoof\n")
+        rc = main(["eval", "--scores", str(path),
+                   "--report", str(tmp_path / "r.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{path}:2: " in err and "Traceback" not in err
+
     def test_missing_file_is_error_not_crash(self, tmp_path, capsys):
         rc = main(["eval", "--scores", str(tmp_path / "nope.tsv"),
                    "--report", str(tmp_path / "r.json")])
@@ -78,6 +87,33 @@ class TestSimulate:
         assert len(trials) == 60
         asv = fileio.read_embeddings(out / "asv_emb.bin")
         assert asv.dim == 6
+
+
+    @pytest.mark.parametrize("mode,config,message", [
+        ("embeddings", {"bogus": 1}, "unknown field 'bogus'"),
+        ("embeddings", {"seed": 3}, "unknown field 'seed'"),
+        ("embeddings", [1, 2], "JSON object"),
+        ("embeddings", {"n_target": 2.5}, "n_target"),
+        ("embeddings", {"cm_margin": "x"}, "cm_margin"),
+        ("scores", [1, 2], "JSON object"),
+        ("scores", {"bogus": {}}, "unknown field 'bogus'"),
+        ("scores", {"means": {"bogus": [0, 0]}},
+         "unknown trial label 'bogus'"),
+        ("scores", {"means": [0, 0]}, "means"),
+        ("scores", {"means": {"target": 5}}, "target"),
+        ("scores", {"covs": {"spoof": {"a": 1}}}, "spoof"),
+        ("scores", {"counts": {"target": "x"}}, "count for target"),
+    ])
+    def test_bad_config_is_one_line_error(self, tmp_path, capsys, mode,
+                                          config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        rc = main(["simulate", "--mode", mode, "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "sim")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err, err
+        assert "Traceback" not in err
 
 
 class TestCalibrateAndFuse:

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sasv.core import (CostModel, DEFAULT_COST_MODEL, EmbeddingStore,
-                       TrialLabel, TrialRecord, derive_beta, derive_rho,
-                       label_maps)
+                       TrialLabel, TrialRecord, derive_beta, derive_rho)
 
 
 class TestTrialLabel:
@@ -17,15 +16,6 @@ class TestTrialLabel:
     def test_from_string_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown trial label"):
             TrialLabel.from_string("bonafide")
-
-    def test_label_maps(self):
-        assert label_maps(TrialLabel.TARGET) == (1, 1, 1)
-        assert label_maps(TrialLabel.NONTARGET) == (0, 0, 1)
-        assert label_maps(TrialLabel.SPOOF) == (0, None, 0)
-
-    def test_label_maps_rejects_non_label(self):
-        with pytest.raises(ValueError):
-            label_maps("target")
 
 
 class TestTrialRecord:

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import check_grad
 from sasv.core import CostModel, DEFAULT_COST_MODEL
 from sasv.decision import (CalibrationFitError, CalibrationParams,
                            FusionConfig, asv_bayes_threshold, bayes_accept,
                            calibrate, fit_calibration, fuse, fuse_linear,
-                           fuse_nonlinear, _logistic_nll)
+                           fuse_nonlinear, fuse_vjp, sigmoid, _logistic_nll)
 
 finite = st.floats(-30.0, 30.0, allow_nan=False)
 
@@ -151,6 +152,40 @@ class TestNonlinearFusion:
             FusionConfig("geometric")
         with pytest.raises(ValueError):
             FusionConfig("nonlinear", -0.1)
+
+
+class TestSigmoid:
+    def test_matches_definition_without_overflow(self):
+        z = np.array([-800.0, -30.0, -1.0, 0.0, 2.5, 800.0])
+        with np.errstate(over="raise"):
+            out = sigmoid(z)
+        np.testing.assert_allclose(out, [0.0, 1 / (1 + math.exp(30.0)),
+                                         1 / (1 + math.e), 0.5,
+                                         1 / (1 + math.exp(-2.5)), 1.0],
+                                   rtol=1e-15)
+
+    def test_scalar_gives_float(self):
+        assert type(sigmoid(0.0)) is float and sigmoid(0.0) == 0.5
+
+
+class TestFuseVjp:
+    @pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+    def test_matches_finite_differences(self, mode):
+        rng = np.random.default_rng(8)
+        a, b, g = rng.normal(0, 3, (3, 10))
+        config = FusionConfig(mode, 0.3)
+        g_a, g_b, g_rho = fuse_vjp(a, b, config, g)
+        h = 1e-6
+        check_grad(g_a, g * (fuse(a + h, b, config)
+                             - fuse(a - h, b, config)) / (2 * h))
+        check_grad(g_b, g * (fuse(a, b + h, config)
+                             - fuse(a, b - h, config)) / (2 * h))
+        if mode == "linear":
+            assert g_rho == 0.0
+        else:
+            check_grad(g_rho, np.sum(g * (fuse_nonlinear(a, b, 0.3 + h)
+                                          - fuse_nonlinear(a, b, 0.3 - h)))
+                       / (2 * h))
 
 
 class TestBayesPolicy:

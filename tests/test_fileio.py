@@ -88,6 +88,27 @@ class TestScores:
             read_scores(path)
 
 
+class TestInvalidUtf8:
+    """A byte that is not UTF-8 is a format error naming path:line."""
+
+    @pytest.mark.parametrize("reader,row", [
+        (read_scores, "e{i}\tt{i}\t1.0\ttarget"),
+        (read_protocol, "e{i}\tt{i}\ttarget"),
+    ])
+    @pytest.mark.parametrize("newline,n_good", [
+        ("\n", 2), ("\r\n", 2), ("\r", 2), ("\n", 5000)])
+    def test_names_line(self, tmp_path, reader, row, newline, n_good):
+        path = tmp_path / "in.tsv"
+        lines = [row.format(i=i) for i in range(n_good)]
+        lines.append(row.format(i="\udcff"))
+        path.write_bytes("".join(line + newline for line in lines)
+                         .encode("utf-8", "surrogateescape"))
+        with pytest.raises(FormatError) as exc:
+            reader(path)
+        assert str(exc.value).startswith(f"{path}:{n_good + 1}: ")
+        assert "UTF-8" in str(exc.value)
+
+
 class TestEmbeddings:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "emb.bin"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import check_grad, central_diff
-from sasv.core import DEFAULT_COST_MODEL, TrialLabel
+from sasv.core import DEFAULT_COST_MODEL, TrialLabel, label_codes
 from sasv.losses import (LossWeights, SoftAdcfConfig, bce, bce_logits_mean,
                          combined_loss_v1, combined_loss_v2, soft_adcf)
 from sasv.metrics import adcf_at
@@ -235,3 +235,21 @@ class TestCombinedV2:
         with pytest.raises(ValueError, match="bonafide"):
             combined_loss_v2([1.0] * 3, [1.0] * 3, [1.0] * 3, spoof_only, w,
                              cfg)
+
+
+class TestLabelCodes:
+    def test_codes_give_the_same_bits_as_labels(self):
+        rng = np.random.default_rng(53)
+        labels = [list(TrialLabel)[i] for i in rng.permutation(30) % 3]
+        codes = label_codes(labels)
+        la, lc, s = rng.normal(0, 2, (3, 30))
+        cfg = SoftAdcfConfig(DEFAULT_COST_MODEL, tau=0.3)
+        w = LossWeights(0.7, 0.4, 0.5, 0.8, 1.2)
+        for by_label, by_code in (
+                (soft_adcf(s, labels, cfg), soft_adcf(s, codes, cfg)),
+                (combined_loss_v1(s, labels, w, cfg),
+                 combined_loss_v1(s, codes, w, cfg)),
+                (combined_loss_v2(la, lc, s, labels, w, cfg),
+                 combined_loss_v2(la, lc, s, codes, w, cfg))):
+            for x, y in zip(by_label, by_code):
+                np.testing.assert_array_equal(x, y)

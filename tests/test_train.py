@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import check_grad
-from sasv.core import DEFAULT_COST_MODEL, TrialLabel
+from sasv.core import DEFAULT_COST_MODEL, TrialLabel, label_codes
 from sasv.decision import fuse_nonlinear
 from sasv.metrics import min_adcf
 from sasv.sim import EmbeddingSimConfig, simulate_embeddings, split_trials
@@ -246,6 +246,14 @@ class TestStratifiedBatches:
             assert present == set(TrialLabel)
             seen[b] += 1
         assert np.all(seen == 1)
+
+    def test_codes_give_the_same_batches_as_labels(self):
+        labels = [list(TrialLabel)[i] for i in make_rng(1).integers(0, 3, 90)]
+        by_label = _stratified_batches(labels, 16, make_rng(0))
+        by_code = _stratified_batches(label_codes(labels), 16, make_rng(0))
+        assert len(by_label) == len(by_code)
+        for x, y in zip(by_label, by_code):
+            np.testing.assert_array_equal(x, y)
 
     def test_batch_count_capped_by_smallest_class(self):
         labels = [TrialLabel.TARGET] * 100 + [TrialLabel.NONTARGET] * 100 + \
