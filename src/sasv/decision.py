@@ -53,11 +53,8 @@ class CalibrationFitError(RuntimeError):
 def sigmoid(z):
     """Logistic 1 / (1 + e^-z), overflow-safe; a float for a scalar."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    ez = np.exp(-np.abs(z))  # e^-z for z >= 0, e^z below: never overflows
+    out = np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
     return float(out) if out.ndim == 0 else out
 
 

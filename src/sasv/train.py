@@ -9,7 +9,7 @@ import numpy as np
 
 from .core import SPOOF, TARGET, label_codes
 from .decision import CalibrationParams, FusionConfig, calibrate, fuse, \
-    fuse_vjp
+    fuse_vjp, sigmoid
 from .losses import LossWeights, SoftAdcfConfig, combined_loss_v1, \
     combined_loss_v2
 from .metrics import min_adcf
@@ -18,11 +18,6 @@ from .nn import DEFAULT_HIDDEN, MlpParams, cosine_score, init_mlp, \
 from .sim import make_rng
 
 ARCHITECTURES = ("mlp-mlp", "cosine-mlp", "wcos-mlp")
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + math.exp(-x)) if x >= 0 else \
-        math.exp(x) / (1.0 + math.exp(x))
 
 
 def _logit(p):
@@ -67,7 +62,7 @@ class ModelParams:
 
     @property
     def rho_tilde(self):
-        return _sigmoid(self.rho_logit)
+        return sigmoid(self.rho_logit)
 
     @property
     def fusion(self):
