@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import SPOOF, TARGET, label_codes
+from .core import NONTARGET, SPOOF, TARGET, label_codes
 from .decision import CalibrationParams, FusionConfig, calibrate, fuse, \
     fuse_vjp, sigmoid
 from .losses import LossWeights, SoftAdcfConfig, combined_loss_v1, \
@@ -348,8 +348,9 @@ def _stratified_batches(labels, batch_size, rng):
     labels: TrialLabels or their codes.
     """
     codes = label_codes(labels)
-    by_class = [idxs for idxs in (np.flatnonzero(codes == code)
-                                  for code in range(3)) if idxs.size]
+    by_class = [np.flatnonzero(codes == code)
+                for code in (TARGET, NONTARGET, SPOOF)]
+    by_class = [idxs for idxs in by_class if idxs.size]
     n_batches = max(1, -(-codes.size // batch_size))
     n_batches = min(n_batches, *(idxs.size for idxs in by_class))
     batches = [[] for _ in range(n_batches)]
