@@ -1,7 +1,9 @@
-"""Byte-level pins of every score-path command's output.
+"""Byte-level pins of every score-path command's output and of training.
 
-The digests were taken from the row-at-a-time implementation that preceded
-the columnar ScoreTable path; any change to them is a change of output.
+The score-path digests were taken from the row-at-a-time implementation that
+preceded the columnar ScoreTable path, the training digests from the loop
+that copied every parameter in and out of a dict on each step and ran both
+heads while pretraining one; any change to them is a change of output.
 Simulated scores, calibration, fused scores and grid accept flags all go
 through numpy's exp/log/log1p/sqrt/cos/sin and math.log, whose last bit
 differs between builds and CPU code paths: numpy 2.4 with its AVX-512 loops
@@ -13,6 +15,7 @@ run but the comparison is skipped.
 """
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -111,3 +114,116 @@ def test_score_pipeline_outputs_are_pinned(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes())
                .hexdigest() for name in GOLDEN}
     assert digests == GOLDEN
+
+
+# Training multiplies matrices through BLAS, whose kernels (and so the last
+# bits of a product) depend on the CPU it picks them for.
+def matmul_kernel_bytes():
+    """MLP-shaped products on fixed inputs: forward, weight and delta."""
+    u = np.sin(np.arange(32 * 384, dtype=np.float64)).reshape(32, 384)
+    w = np.cos(np.arange(160 * 384, dtype=np.float64)).reshape(160, 384)
+    x = u[:, :24]
+    outputs = [x @ w[:, :24].T, u @ w.T, (u @ w.T).T @ u, (u @ w.T) @ w]
+    return b"".join(out.tobytes() for out in outputs)
+
+
+# sha256 of matmul_kernel_bytes() where TRAIN_GOLDEN was taken (x86_64,
+# AVX-512, OpenBLAS 0.3.31 DYNAMIC_ARCH)
+MATMUL_KERNELS = \
+    "065f2f73ff351b88cfa6c6261d31f9f3ee3786e1b6de047b85d633f937e2b732"
+
+TRAIN_SIM = {"n_speakers": 8, "d_asv": 16, "d_cm": 8, "sigma_w": 0.1,
+             "delta": 1.0, "cm_margin": 2.0, "n_target": 60,
+             "n_nontarget": 60, "n_spoof": 60}
+
+# (architecture, loss, init, optimizer, fusion, lr) -> (checkpoint, log)
+TRAIN_RUNS = [(arch, loss, init, "adam", "nonlinear", "0.000861")
+              for arch in ("wcos-mlp", "mlp-mlp", "cosine-mlp")
+              for loss in ("v1", "v2") for init in ("random", "pretrained")]
+TRAIN_RUNS += [("wcos-mlp", "v2", "pretrained", "sgd", "nonlinear", "0.3"),
+               ("mlp-mlp", "v1", "pretrained", "adam", "linear", "0.000861")]
+
+TRAIN_GOLDEN = {
+    ("wcos-mlp", "v1", "random", "adam", "nonlinear", "0.000861"): (
+        "1b588d90111c42644a933c001eb988ace399dd3a8b3e92e48858140d5224791c",
+        "6b03213ff4960d9b3a1109574520bfe5e9ae2261d11e3dbab7177f39cc2f69ec"),
+    ("wcos-mlp", "v1", "pretrained", "adam", "nonlinear", "0.000861"): (
+        "c9b0cda31fde28016b2db8022023ee1136f2dcddd7535cc3c6dba5b923589cb5",
+        "81ac21df157502e6198702e71c5bcbbc6482a6455117f2fb49e4db8c3df6df56"),
+    ("wcos-mlp", "v2", "random", "adam", "nonlinear", "0.000861"): (
+        "687c3648329c9a2eeadac24a4a38652321989a07cf4525118322ed1e5a29fac9",
+        "8cebc5b10aeada3bc8f99d0c19e592acb88cb0aab47f57ad3ec85f246975b3d7"),
+    ("wcos-mlp", "v2", "pretrained", "adam", "nonlinear", "0.000861"): (
+        "512c7e89930d594f7bd87f6b2bf7a0f782e67b8fb21673f7dc1cab0c2cd41387",
+        "2bbf3c76c4033a610627cc99078a1240169c58f76e73775596120ea40c716daa"),
+    ("mlp-mlp", "v1", "random", "adam", "nonlinear", "0.000861"): (
+        "e93b5993377d9f2bd59f70b0f23699f88b270f69222ea9ee9f8c8d3ad5e04f6f",
+        "fba117945b6f2cefcf4a63ffbf9388604dca7eed53112e1c8080b4b3af77ed2c"),
+    ("mlp-mlp", "v1", "pretrained", "adam", "nonlinear", "0.000861"): (
+        "0f6eecae11de0640aae86a0cb629d99c555618923e1446ac720ab164788d9e32",
+        "add82f5424b3b5a766117bc4d6c22b19b57e321cafac824fc8563e32d00c773f"),
+    ("mlp-mlp", "v2", "random", "adam", "nonlinear", "0.000861"): (
+        "0d43fbafd7eebb71e4c3b8944ca35bc334957300576fb3e0c70890b8659eec47",
+        "34ecc5cc0eb73ebec35d8ee5f99f483755d7fb4fd192bdd9b7a194a1c8343552"),
+    ("mlp-mlp", "v2", "pretrained", "adam", "nonlinear", "0.000861"): (
+        "2f1008455ffa17bca7a9654ad44d6b28fbdc1a3d8dd3e4dd9505452ce47e6eff",
+        "9e5ceb96cfd183ed2a3d63a7e31295f4b903e9a946b06d0a7a1bb50fca0f4941"),
+    ("cosine-mlp", "v1", "random", "adam", "nonlinear", "0.000861"): (
+        "fbbe556c7ab90a763135adf75119ec3def0540474ea7ea49daf571bcb467f0a6",
+        "da9c02d022c1598b8318812a4c67250455e8933ce5409aa72367ddc826ca2ca5"),
+    ("cosine-mlp", "v1", "pretrained", "adam", "nonlinear", "0.000861"): (
+        "1497b37d6dc9884a70e60fac230684bcdb60b5a69fcfb89c9f4777d5d46b4db7",
+        "ea85484efb78a32f50288ca65aecb7083e9ea90e4a616588bc48db48a9330ca5"),
+    ("cosine-mlp", "v2", "random", "adam", "nonlinear", "0.000861"): (
+        "6d1a6c9b9e1009133e54fc827bd79d85d56ec4613ad0b4bd3be65eefc8ca56db",
+        "38c4913c70b9f1c9006bcaacf301029d1d355d0d8356111b49faf67c7475acf4"),
+    ("cosine-mlp", "v2", "pretrained", "adam", "nonlinear", "0.000861"): (
+        "3d021134b5fa90636e976d6f0bde107ab1cb79c2cf8d86d8e832e285cc7aa12d",
+        "e24bc72cc9e09874cce5a6d8da63daddbcb8122414eebac14bc9cdebfb3ee376"),
+    ("wcos-mlp", "v2", "pretrained", "sgd", "nonlinear", "0.3"): (
+        "44ff3ee4a66475e0cc80bc0854abfbcb77dd3e1bfc2c2c2bfca2de147a324230",
+        "95992ce1e5e718efbafdf9f75fe9fe50144badd8649791c3372c1f0dadf1cb75"),
+    ("mlp-mlp", "v1", "pretrained", "adam", "linear", "0.000861"): (
+        "0d5c6cefe784d6b3bfee61990ecc78bd5e84b7338dc2d8ba410a0c2dc2d920e1",
+        "f05d9ccbf769ebc1e1cdc2db13921398c47c06c0315145bd79f15868bef9f90d"),
+}
+
+
+def _split_protocol(directory):
+    """Alternate rows of each class to train.tsv and dev.tsv."""
+    by_class = {}
+    for line in (directory / "protocol.tsv").read_text().splitlines(True):
+        by_class.setdefault(line.rsplit("\t", 1)[-1], []).append(line)
+    for name, start in (("train.tsv", 0), ("dev.tsv", 1)):
+        (directory / name).write_text(
+            "".join(line for lines in by_class.values()
+                    for line in lines[start::2]))
+
+
+def test_training_outputs_are_pinned(tmp_path):
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps(TRAIN_SIM))
+    assert main(["simulate", "--mode", "embeddings", "--config", str(config),
+                 "--out-dir", str(tmp_path), "--seed", "5"]) == 0
+    _split_protocol(tmp_path)
+    digests = {}
+    for run in TRAIN_RUNS:
+        arch, loss, init, optimizer, fusion, lr = run
+        ckpt, log = tmp_path / "ckpt.json", tmp_path / "log.jsonl"
+        assert main(["train", "--arch", arch, "--loss", loss, "--init", init,
+                     "--optimizer", optimizer, "--fusion", fusion,
+                     "--lr", lr, "--epochs", "3", "--batch", "32",
+                     "--seed", "7",
+                     "--asv-emb", str(tmp_path / "asv_emb.bin"),
+                     "--cm-emb", str(tmp_path / "cm_emb.bin"),
+                     "--train-proto", str(tmp_path / "train.tsv"),
+                     "--dev-proto", str(tmp_path / "dev.tsv"),
+                     "--out", str(ckpt), "--log", str(log)]) == 0, run
+        digests[run] = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                             for path in (ckpt, log))
+    if hashlib.sha256(float_kernel_bytes()).hexdigest() != FLOAT_KERNELS \
+            or hashlib.sha256(matmul_kernel_bytes()).hexdigest() \
+            != MATMUL_KERNELS:
+        pytest.skip("float or matrix-product kernels round differently from "
+                    "where the digests were taken")
+    assert digests == TRAIN_GOLDEN
