@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -45,8 +46,25 @@ def _cost_model_json(cm):
 
 
 def _load_calibration(path):
+    """CalibrationParams from a JSON object with finite numbers w0 and w1."""
     with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+        try:
+            doc = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: calibration must be a JSON object")
+    for key in ("w0", "w1"):
+        if key not in doc:
+            raise ValueError(f"{path}: missing field {key!r}")
+        value = doc[key]
+        try:
+            finite = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):
+            finite = False
+        if not finite:
+            raise ValueError(f"{path}: {key} must be a finite number, "
+                             f"got {json.dumps(value)}")
     return CalibrationParams(float(doc["w0"]), float(doc["w1"]))
 
 
@@ -236,7 +254,9 @@ def _cmd_eval(args):
         "cost_model": _cost_model_json(cm),
         "normalized": normalized,
         "min_adcf": report.min_adcf,
-        "min_threshold": report.min_threshold,
+        # null where the minimum lies at a +-inf sentinel threshold
+        "min_threshold": report.min_threshold
+        if math.isfinite(report.min_threshold) else None,
         "rates_at_min": {
             "p_miss_tar": report.rates_at_min.p_miss_tar,
             "p_fa_non": report.rates_at_min.p_fa_non,

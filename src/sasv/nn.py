@@ -17,7 +17,8 @@ LEAKY_SLOPE = 0.3
 
 
 def _leaky(z):
-    return np.where(z > 0, z, LEAKY_SLOPE * z)
+    # max(z, 0.3 z) is z for z > 0 and 0.3 z otherwise, -0.0 and NaN included
+    return np.maximum(z, LEAKY_SLOPE * z)
 
 
 def _leaky_grad(z):
@@ -100,7 +101,8 @@ def mlp_forward(params, x):
     pres = []
     n_layers = len(params.weights)
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w.T + b
+        z = h @ w.T
+        z += b
         pres.append(z)
         if i < n_layers - 1:
             h = _ACTIVATIONS[params.activations[i]][0](z)

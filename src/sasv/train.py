@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -103,6 +104,10 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.init not in ("random", "pretrained"):
             raise ValueError(f"unknown init {self.init!r}")
+        if not (isinstance(self.batch_size, numbers.Integral)
+                and self.batch_size > 0):
+            raise ValueError(f"batch size must be a positive integer, "
+                             f"got {self.batch_size!r}")
         if self.cost_model is None:
             from .core import DEFAULT_COST_MODEL
             object.__setattr__(self, "cost_model", DEFAULT_COST_MODEL)
@@ -110,7 +115,11 @@ class TrainConfig:
 
 @dataclass
 class Checkpoint:
-    """Best model so far; the dev fields are None if it was never scored."""
+    """Best model so far; the dev fields are None if it was never scored.
+
+    dev_threshold is also None when the dev min a-DCF lies at one of the
+    sweep's +-inf sentinel thresholds (accept everything or nothing).
+    """
 
     epoch: int
     model: ModelParams
@@ -145,13 +154,22 @@ def init_model(cfg, d_asv, d_cm, rng=None):
 
 # -------------------------------------------------------------- optimizers
 
+def _descend(params, key, step):
+    """params[key] -= step: in place for an array, rebinding a scalar."""
+    p = params[key]
+    if isinstance(p, np.ndarray):
+        p -= step
+    else:
+        params[key] = p - step
+
+
 def sgd_step(params, grads, lr):
-    """In-place p <- p - lr * g over a name->array dict."""
+    """p <- p - lr * g over a name->array dict; arrays change in place."""
     for key, p in params.items():
         g = grads[key]
         if np.shape(g) != np.shape(p):
             raise ValueError(f"gradient shape mismatch for {key!r}")
-        params[key] = p - lr * g
+        _descend(params, key, lr * g)
     return params
 
 
@@ -171,6 +189,7 @@ class OptimizerState:
         self.step_count = 0
         self.m = {}
         self.v = {}
+        self.scratch = {}   # two work arrays per parameter for adam_step
 
     def step(self, params, grads):
         if self.kind == "sgd":
@@ -179,7 +198,12 @@ class OptimizerState:
 
 
 def adam_step(params, grads, state):
-    """Standard bias-corrected Adam update, in place on the dict."""
+    """Standard bias-corrected Adam update; arrays change in place.
+
+    m, v and the step are computed in place, in the operation order of
+    m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g and
+    p -= (lr m_hat) / (sqrt(v_hat) + eps).
+    """
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
@@ -190,11 +214,22 @@ def adam_step(params, grads, state):
         if key not in state.m:
             state.m[key] = np.zeros_like(g)
             state.v[key] = np.zeros_like(g)
-        state.m[key] = b1 * state.m[key] + (1.0 - b1) * g
-        state.v[key] = b2 * state.v[key] + (1.0 - b2) * g * g
-        m_hat = state.m[key] / (1.0 - b1 ** t)
-        v_hat = state.v[key] / (1.0 - b2 ** t)
-        params[key] = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+            state.scratch[key] = (np.empty_like(g), np.empty_like(g))
+        m, v = state.m[key], state.v[key]
+        step, denom = state.scratch[key]
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=step)
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=denom)
+        denom *= g
+        v += denom
+        np.divide(m, 1.0 - b1 ** t, out=step)
+        step *= state.lr
+        np.divide(v, 1.0 - b2 ** t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        step /= denom
+        _descend(params, key, step)
     return params
 
 
@@ -202,8 +237,8 @@ def adam_step(params, grads, state):
 
 def _mlp_into_dict(prefix, mlp, out):
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        out[f"{prefix}.w{i}"] = w.copy()
-        out[f"{prefix}.b{i}"] = b.copy()
+        out[f"{prefix}.w{i}"] = w
+        out[f"{prefix}.b{i}"] = b
 
 
 def _mlp_from_dict(prefix, mlp, pdict):
@@ -212,18 +247,20 @@ def _mlp_from_dict(prefix, mlp, pdict):
     return MlpParams(weights, biases, list(mlp.activations))
 
 
-def trainable_dict(model, branch="all"):
-    """Flat name->array dict of the trainables (per-architecture subset).
+def _param_refs(model, branch="all"):
+    """Flat name->parameter dict holding the model's own arrays.
 
-    branch selects "all", "asv" (ASV head + its calibration) or
-    "cm" (CM MLP + its calibration), the latter two for pretraining.
+    Scalars (calibrations, rho_logit, tau) are float64 copies; after an
+    optimizer step `_store_scalars` writes them back.  branch selects "all",
+    "asv" (ASV head + its calibration) or "cm" (CM MLP + its calibration),
+    the latter two for pretraining.
     """
     out = {}
     if branch in ("all", "asv"):
         if model.architecture == "mlp-mlp":
             _mlp_into_dict("asv_mlp", model.asv_mlp, out)
         elif model.architecture == "wcos-mlp":
-            out["w_asv"] = model.w_asv.copy()
+            out["w_asv"] = model.w_asv
         out["asv_calib.w0"] = np.float64(model.asv_calib.w0)
         out["asv_calib.w1"] = np.float64(model.asv_calib.w1)
     if branch in ("all", "cm"):
@@ -237,43 +274,86 @@ def trainable_dict(model, branch="all"):
     return out
 
 
+_SCALARS = ("asv_calib.w0", "asv_calib.w1", "cm_calib.w0", "cm_calib.w1",
+            "rho_logit", "tau")
+
+
+def _store_scalars(model, pdict):
+    """Write the scalar parameters of a dict into the model."""
+    for calib in ("asv_calib", "cm_calib"):
+        if f"{calib}.w0" in pdict:
+            setattr(model, calib,
+                    CalibrationParams(float(pdict[f"{calib}.w0"]),
+                                      float(pdict[f"{calib}.w1"])))
+    for key in ("rho_logit", "tau"):
+        if key in pdict:
+            setattr(model, key, float(pdict[key]))
+
+
+def trainable_dict(model, branch="all"):
+    """A copy of the trainables as a flat name->array dict.
+
+    branch selects "all", "asv" (ASV head + its calibration) or
+    "cm" (CM MLP + its calibration).
+    """
+    return {key: value.copy()
+            for key, value in _param_refs(model, branch).items()}
+
+
 def apply_dict(model, pdict):
     """Write a parameter dict back into the model (missing keys untouched)."""
     if "asv_mlp.w0" in pdict:
         model.asv_mlp = _mlp_from_dict("asv_mlp", model.asv_mlp, pdict)
     if "w_asv" in pdict:
         model.w_asv = np.asarray(pdict["w_asv"], dtype=np.float64)
-    if "asv_calib.w0" in pdict:
-        model.asv_calib = CalibrationParams(float(pdict["asv_calib.w0"]),
-                                            float(pdict["asv_calib.w1"]))
     if "cm_mlp.w0" in pdict:
         model.cm_mlp = _mlp_from_dict("cm_mlp", model.cm_mlp, pdict)
-    if "cm_calib.w0" in pdict:
-        model.cm_calib = CalibrationParams(float(pdict["cm_calib.w0"]),
-                                           float(pdict["cm_calib.w1"]))
-    if "rho_logit" in pdict:
-        model.rho_logit = float(pdict["rho_logit"])
-    if "tau" in pdict:
-        model.tau = float(pdict["tau"])
+    _store_scalars(model, pdict)
     return model
 
 
 # ----------------------------------------------------------------- forward
 
+def _branch_forward(model, branch, e_enr, e_tst_asv, e_tst_cm):
+    """One branch's raw scores and tape (None for the plain cosine head)."""
+    if branch == "cm":
+        return mlp_forward(model.cm_mlp,
+                           np.concatenate([e_tst_asv, e_tst_cm], axis=1))
+    if model.architecture == "mlp-mlp":
+        return mlp_forward(model.asv_mlp,
+                           np.concatenate([e_enr, e_tst_asv], axis=1))
+    if model.architecture == "cosine-mlp":
+        return cosine_score(e_enr, e_tst_asv), None
+    return weighted_cosine_score(model.w_asv, e_enr, e_tst_asv)
+
+
+def _branch_backward(model, branch, s, tape, g_calib, g_llr, grads):
+    """Add one branch's gradients to grads.
+
+    g_calib feeds its calibration and g_llr (the gradient on its LLR) its
+    head; s and tape are what `_branch_forward` returned.
+    """
+    grads[f"{branch}_calib.w0"] = np.float64(np.sum(g_calib))
+    grads[f"{branch}_calib.w1"] = np.float64(np.sum(g_calib * s))
+    calib = model.asv_calib if branch == "asv" else model.cm_calib
+    g_s = g_llr * calib.w1
+    if branch == "cm":
+        _mlp_into_dict("cm_mlp", mlp_backward(model.cm_mlp, tape, g_s)[0],
+                       grads)
+    elif model.architecture == "mlp-mlp":
+        _mlp_into_dict("asv_mlp", mlp_backward(model.asv_mlp, tape, g_s)[0],
+                       grads)
+    elif model.architecture == "wcos-mlp":
+        grads["w_asv"] = weighted_cosine_backward(tape, g_s)
+
+
 def forward_batch(model, e_enr, e_tst_asv, e_tst_cm):
     """Score a batch; returns (s_sasv, cache) with everything backward needs."""
     cache = {}
-    if model.architecture == "mlp-mlp":
-        x_asv = np.concatenate([e_enr, e_tst_asv], axis=1)
-        s_asv, cache["asv_tape"] = mlp_forward(model.asv_mlp, x_asv)
-    elif model.architecture == "cosine-mlp":
-        s_asv = cosine_score(e_enr, e_tst_asv)
-    else:
-        s_asv, cache["asv_tape"] = weighted_cosine_score(
-            model.w_asv, e_enr, e_tst_asv)
-    x_cm = np.concatenate([e_tst_asv, e_tst_cm], axis=1)
-    s_cm, cache["cm_tape"] = mlp_forward(model.cm_mlp, x_cm)
-
+    s_asv, cache["asv_tape"] = _branch_forward(model, "asv", e_enr,
+                                               e_tst_asv, e_tst_cm)
+    s_cm, cache["cm_tape"] = _branch_forward(model, "cm", e_enr, e_tst_asv,
+                                             e_tst_cm)
     llr_a = calibrate(s_asv, model.asv_calib)
     llr_c = calibrate(s_cm, model.cm_calib)
     cache["s_asv"], cache["s_cm"] = s_asv, s_cm
@@ -307,35 +387,24 @@ def backward_batch(model, cache, grad_s, grad_llr_a_aux=None,
     else:
         raise ValueError(f"unknown calib_gradients {calib_gradients!r}")
 
-    grads["asv_calib.w0"] = np.float64(np.sum(g_a_calib))
-    grads["asv_calib.w1"] = np.float64(np.sum(g_a_calib * cache["s_asv"]))
-    grads["cm_calib.w0"] = np.float64(np.sum(g_c_calib))
-    grads["cm_calib.w1"] = np.float64(np.sum(g_c_calib * cache["s_cm"]))
-
-    g_s_asv = g_a_total * model.asv_calib.w1
-    g_s_cm = g_c_total * model.cm_calib.w1
-
-    if model.architecture == "mlp-mlp":
-        mlp_grads, _ = mlp_backward(model.asv_mlp, cache["asv_tape"], g_s_asv)
-        for i, (w, b) in enumerate(zip(mlp_grads.weights, mlp_grads.biases)):
-            grads[f"asv_mlp.w{i}"] = w
-            grads[f"asv_mlp.b{i}"] = b
-    elif model.architecture == "wcos-mlp":
-        grads["w_asv"] = weighted_cosine_backward(cache["asv_tape"], g_s_asv)
-
-    cm_grads, _ = mlp_backward(model.cm_mlp, cache["cm_tape"], g_s_cm)
-    for i, (w, b) in enumerate(zip(cm_grads.weights, cm_grads.biases)):
-        grads[f"cm_mlp.w{i}"] = w
-        grads[f"cm_mlp.b{i}"] = b
+    _branch_backward(model, "asv", cache["s_asv"], cache["asv_tape"],
+                     g_a_calib, g_a_total, grads)
+    _branch_backward(model, "cm", cache["s_cm"], cache["cm_tape"],
+                     g_c_calib, g_c_total, grads)
     return grads
+
+
+def _embeddings(asv_store, cm_store, trials):
+    """(e_enr, e_tst_asv, e_tst_cm) matrices of a trial list."""
+    return (asv_store.matrix([t.enroll_id for t in trials]),
+            asv_store.matrix([t.test_id for t in trials]),
+            cm_store.matrix([t.test_id for t in trials]))
 
 
 def score_trials(model, asv_store, cm_store, trials):
     """Full forward over a trial list; returns (s_sasv, llr_a, llr_c, labels)."""
-    e_enr = asv_store.matrix([t.enroll_id for t in trials])
-    e_tst_asv = asv_store.matrix([t.test_id for t in trials])
-    e_tst_cm = cm_store.matrix([t.test_id for t in trials])
-    s, cache = forward_batch(model, e_enr, e_tst_asv, e_tst_cm)
+    s, cache = forward_batch(model, *_embeddings(asv_store, cm_store,
+                                                 trials))
     labels = [t.label for t in trials]
     return s, cache["llr_a"], cache["llr_c"], labels
 
@@ -379,9 +448,36 @@ def _batch_loss_and_grads(model, cfg, s, cache, labels):
     return loss, grads
 
 
+class TrainingDiverged(RuntimeError):
+    """A batch loss or a scalar parameter came out infinite or NaN."""
+
+
+def _train_step(model, optimizer, params, grads, loss, phase, epoch, batch):
+    """Update params (the model's own arrays) and store the scalars.
+
+    Raises TrainingDiverged, naming the phase, epoch and batch, if the batch
+    loss or a scalar parameter after the update is not finite; the arrays
+    are not scanned.
+    """
+    bad = None if math.isfinite(loss) else ("loss", loss)
+    if bad is None:
+        optimizer.step(params, grads)
+        bad = next(((key, params[key]) for key in _SCALARS
+                    if key in params and not math.isfinite(params[key])),
+                   None)
+    if bad is not None:
+        raise TrainingDiverged(f"{phase} diverged at epoch {epoch}, batch "
+                               f"{batch}: {bad[0]} is {float(bad[1])}")
+    _store_scalars(model, params)
+
+
 def train_joint(cfg, asv_store, cm_store, train_trials, dev_trials,
                 model=None):
-    """Joint training loop; returns (best Checkpoint, per-epoch log list)."""
+    """Joint training loop; returns (best Checkpoint, per-epoch log list).
+
+    The model's arrays are updated in place; a non-finite batch loss or
+    scalar parameter raises TrainingDiverged.
+    """
     for t in train_trials + dev_trials:
         if t.enroll_id not in asv_store or t.test_id not in asv_store \
                 or t.test_id not in cm_store:
@@ -401,84 +497,87 @@ def train_joint(cfg, asv_store, cm_store, train_trials, dev_trials,
     else:
         model = model.copy()
 
-    e_enr = asv_store.matrix([t.enroll_id for t in train_trials])
-    e_tst_asv = asv_store.matrix([t.test_id for t in train_trials])
-    e_tst_cm = cm_store.matrix([t.test_id for t in train_trials])
+    e_enr, e_tst_asv, e_tst_cm = _embeddings(asv_store, cm_store,
+                                             train_trials)
+    dev_embeddings = _embeddings(asv_store, cm_store, dev_trials)
     codes = label_codes([t.label for t in train_trials])
     dev_codes = label_codes([t.label for t in dev_trials])
 
+    params = _param_refs(model)
     optimizer = OptimizerState(cfg.optimizer, cfg.lr)
     log = []
     best = None
     for epoch in range(1, cfg.epochs + 1):
         epoch_losses = []
-        for batch in _stratified_batches(codes, cfg.batch_size, rng):
+        batches = _stratified_batches(codes, cfg.batch_size, rng)
+        for number, batch in enumerate(batches, 1):
             s, cache = forward_batch(model, e_enr[batch], e_tst_asv[batch],
                                      e_tst_cm[batch])
             loss, grads = _batch_loss_and_grads(model, cfg, s, cache,
                                                 codes[batch])
-            params = trainable_dict(model)
-            optimizer.step(params, grads)
-            apply_dict(model, params)
+            _train_step(model, optimizer, params, grads, loss,
+                        "joint training", epoch, number)
             epoch_losses.append(loss)
-        dev_s, _, _, _ = score_trials(model, asv_store, cm_store, dev_trials)
-        report = min_adcf(dev_s, dev_codes, cfg.cost_model, normalized=True)
+        # [0]: the dev tape is not kept past the call
+        report = min_adcf(forward_batch(model, *dev_embeddings)[0],
+                          dev_codes, cfg.cost_model, normalized=True)
+        threshold = report.min_threshold \
+            if math.isfinite(report.min_threshold) else None
         log.append({
             "epoch": epoch,
             "train_loss": float(np.mean(epoch_losses)),
             "dev_min_adcf": report.min_adcf,
-            "dev_threshold": report.min_threshold,
+            "dev_threshold": threshold,
         })
         if best is None or report.min_adcf < best.dev_min_adcf:
             best = Checkpoint(epoch, model.copy(), report.min_adcf,
-                              report.min_threshold)
+                              threshold)
     if best is None:  # zero epochs: return the initial state unevaluated
         best = Checkpoint(0, model.copy(), None, None)
     return best, log
 
 
-def pretrain_heads(cfg, asv_store, cm_store, trials):
-    """Train each branch alone with its auxiliary BCE; returns ModelParams."""
+def _pretrain_loss_and_grads(model, branch, e_enr, e_tst_asv, e_tst_cm, y):
+    """One branch's BCE on its own LLR; returns (loss, grads of its keys).
+
+    Only that branch is scored and back-propagated.  backward_batch would
+    add the fused path's zero gradient (+0.0) to the BCE gradient, which
+    changes no bit: a BCE gradient (sigmoid(x) - y) / n is never -0.0.
+    """
     from .losses import bce_logits_mean
 
+    s, tape = _branch_forward(model, branch, e_enr, e_tst_asv, e_tst_cm)
+    calib = model.asv_calib if branch == "asv" else model.cm_calib
+    loss, g = bce_logits_mean(calibrate(s, calib), y)
+    grads = {}
+    _branch_backward(model, branch, s, tape, g, g, grads)
+    return loss, grads
+
+
+def pretrain_heads(cfg, asv_store, cm_store, trials):
+    """Train each branch alone with its auxiliary BCE; returns ModelParams."""
     rng = make_rng(cfg.seed)
     model = init_model(cfg, asv_store.dim, cm_store.dim, rng)
-    e_enr = asv_store.matrix([t.enroll_id for t in trials])
-    e_tst_asv = asv_store.matrix([t.test_id for t in trials])
-    e_tst_cm = cm_store.matrix([t.test_id for t in trials])
+    embeddings = _embeddings(asv_store, cm_store, trials)
     codes = label_codes([t.label for t in trials])
     bonafide = codes != SPOOF
     # the ASV branch learns target vs nontarget on bonafide trials only
     for branch, keep, y in (("asv", bonafide, codes == TARGET),
                             ("cm", np.ones(codes.size, bool), bonafide)):
-        params = trainable_dict(model, branch)
-        if not params:
-            continue
+        params = _param_refs(model, branch)
         optimizer = OptimizerState(cfg.optimizer, cfg.lr)
         idx_all = np.nonzero(keep)[0]
         n_batches = max(1, -(-idx_all.size // cfg.batch_size))
-        for _ in range(cfg.epochs):
+        for epoch in range(1, cfg.epochs + 1):
             order = idx_all.copy()
             rng.shuffle(order)
-            for chunk in np.array_split(order, n_batches):
-                s, cache = forward_batch(model, e_enr[chunk],
-                                         e_tst_asv[chunk], e_tst_cm[chunk])
-                ys = y[chunk].astype(np.float64)
-                if branch == "asv":
-                    _, g = bce_logits_mean(cache["llr_a"], ys)
-                    grads = backward_batch(model, cache,
-                                           np.zeros_like(g),
-                                           grad_llr_a_aux=g,
-                                           calib_gradients="both")
-                else:
-                    _, g = bce_logits_mean(cache["llr_c"], ys)
-                    grads = backward_batch(model, cache,
-                                           np.zeros_like(g),
-                                           grad_llr_c_aux=g,
-                                           calib_gradients="both")
-                grads = {k: grads[k] for k in params}
-                optimizer.step(params, grads)
-                apply_dict(model, params)
+            chunks = np.array_split(order, n_batches)
+            for number, chunk in enumerate(chunks, 1):
+                loss, grads = _pretrain_loss_and_grads(
+                    model, branch, *(e[chunk] for e in embeddings),
+                    y[chunk].astype(np.float64))
+                _train_step(model, optimizer, params, grads, loss,
+                            f"{branch.upper()} pretraining", epoch, number)
     return model
 
 

@@ -23,6 +23,32 @@ def write_worked_scores(path):
     return rows
 
 
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def make_train_sim(tmp_path, n_per_class=40):
+    """Simulated embeddings split into train.tsv and dev.tsv; returns the
+    train argv that reads them."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_target": n_per_class,
+                               "n_nontarget": n_per_class,
+                               "n_spoof": n_per_class, "n_speakers": 5,
+                               "d_asv": 6, "d_cm": 4}))
+    sim = tmp_path / "sim"
+    main(["simulate", "--mode", "embeddings", "--config", str(cfg),
+          "--out-dir", str(sim)])
+    trials = fileio.read_protocol(sim / "protocol.tsv")
+    from sasv.sim import split_trials
+    train, dev = split_trials(trials, 0.5, seed=0)
+    fileio.write_protocol(sim / "train.tsv", train)
+    fileio.write_protocol(sim / "dev.tsv", dev)
+    return ["train", "--asv-emb", str(sim / "asv_emb.bin"),
+            "--cm-emb", str(sim / "cm_emb.bin"),
+            "--train-proto", str(sim / "train.tsv"),
+            "--dev-proto", str(sim / "dev.tsv")]
+
+
 class TestTopLevel:
     def test_no_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -184,6 +210,28 @@ class TestCalibrateAndFuse:
         assert "label mismatch" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("text,field", [
+        ("[1, 2]", None), ("nope", None), ("{}", "w0"),
+        ('{"w0": null, "w1": 1}', "w0"), ('{"w0": "1", "w1": 1}', "w0"),
+        ('{"w0": true, "w1": 1}', "w0"), ('{"w0": 1, "w1": NaN}', "w1"),
+        ('{"w0": 1e400, "w1": 1}', "w0"),
+        pytest.param('{"w0": 1, "w1": 1' + "0" * 400 + "}", "w1",
+                     id="w1-too-large-for-a-float")])
+    def test_bad_calibration_is_one_line_error(self, tmp_path, capsys, text,
+                                               field):
+        scores = tmp_path / "s.tsv"
+        write_worked_scores(scores)
+        calib = tmp_path / "calib.json"
+        calib.write_text(text)
+        rc = main(["fuse", "--asv", str(scores), "--cm", str(scores),
+                   "--cm-calib", str(calib), "--out",
+                   str(tmp_path / "f.tsv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{calib}: " in err
+        if field is not None:
+            assert field in err
+
     def test_fuse_joins_cm_rows_by_trial_not_position(self, tmp_path):
         out = self.make_sim(tmp_path)
         cm = fileio.read_scores(out / "cm_scores.tsv")
@@ -245,6 +293,20 @@ class TestEval:
         doc = json.loads(report.read_text())
         assert doc["act_adcf"] == pytest.approx(0.45, abs=1e-12)
         assert doc["act_adcf"] >= doc["min_adcf"] - 1e-12
+
+    def test_min_threshold_at_sentinel_is_null(self, tmp_path):
+        # the spoof outscores the target: rejecting everything is cheapest,
+        # so the minimum lies at the +inf sentinel threshold
+        scores = tmp_path / "scores.tsv"
+        fileio.write_scores(scores, [("e1", "t1", 0.5, TrialLabel.TARGET),
+                                     ("e2", "t2", 0.4, TrialLabel.NONTARGET),
+                                     ("e3", "t3", 0.6, TrialLabel.SPOOF)])
+        report = tmp_path / "report.json"
+        assert main(["eval", "--scores", str(scores),
+                     "--report", str(report)]) == 0
+        doc = json.loads(report.read_text(), parse_constant=reject_constant)
+        assert doc["min_threshold"] is None
+        assert doc["rates_at_min"]["p_miss_tar"] == 1.0
 
     def test_custom_cost_flags(self, tmp_path):
         scores = tmp_path / "scores.tsv"
@@ -331,27 +393,12 @@ class TestDetAndGrid:
 
 class TestTrainCommand:
     def test_end_to_end(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n_target": 40, "n_nontarget": 40,
-                                   "n_spoof": 40, "n_speakers": 5,
-                                   "d_asv": 6, "d_cm": 4}))
-        sim = tmp_path / "sim"
-        main(["simulate", "--mode", "embeddings", "--config", str(cfg),
-              "--out-dir", str(sim)])
-        trials = fileio.read_protocol(sim / "protocol.tsv")
-        from sasv.sim import split_trials
-        train, dev = split_trials(trials, 0.5, seed=0)
-        fileio.write_protocol(sim / "train.tsv", train)
-        fileio.write_protocol(sim / "dev.tsv", dev)
+        train = make_train_sim(tmp_path)
         ckpt = tmp_path / "ckpt.json"
         log = tmp_path / "log.jsonl"
-        rc = main(["train", "--arch", "wcos-mlp", "--loss", "v1",
+        rc = main([*train, "--arch", "wcos-mlp", "--loss", "v1",
                    "--optimizer", "sgd", "--lr", "0.3",
                    "--epochs", "4", "--batch", "32",
-                   "--asv-emb", str(sim / "asv_emb.bin"),
-                   "--cm-emb", str(sim / "cm_emb.bin"),
-                   "--train-proto", str(sim / "train.tsv"),
-                   "--dev-proto", str(sim / "dev.tsv"),
                    "--out", str(ckpt), "--log", str(log)])
         assert rc == 0
         model, meta = fileio.read_checkpoint(ckpt)
@@ -384,10 +431,46 @@ class TestTrainCommand:
                      "--train-proto", proto, "--dev-proto", proto,
                      "--out", str(ckpt), "--log", str(log)]) == 0
 
-        def reject(name):
-            raise ValueError(f"non-standard JSON constant {name}")
-
-        doc = json.loads(ckpt.read_text(), parse_constant=reject)
+        doc = json.loads(ckpt.read_text(), parse_constant=reject_constant)
         assert doc["dev_min_adcf"] is None
         assert doc["config"]["best_epoch"] == 0
         assert log.read_text() == ""
+
+    def test_sentinel_thresholds_are_null(self, tmp_path):
+        # plain SGD at the default rate barely moves the random init, whose
+        # dev min a-DCF lies at the +inf sentinel in every epoch
+        ckpt = tmp_path / "ckpt.json"
+        log = tmp_path / "log.jsonl"
+        assert main([*make_train_sim(tmp_path), "--optimizer", "sgd",
+                     "--epochs", "4", "--out", str(ckpt),
+                     "--log", str(log)]) == 0
+        entries = [json.loads(line, parse_constant=reject_constant)
+                   for line in log.read_text().splitlines()]
+        assert [e["dev_threshold"] for e in entries] == [None] * 4
+        doc = json.loads(ckpt.read_text(), parse_constant=reject_constant)
+        assert doc["dev_threshold"] is None
+        assert doc["dev_min_adcf"] == entries[0]["dev_min_adcf"]
+
+    @pytest.mark.parametrize("batch", ["0", "-3"])
+    def test_bad_batch_is_one_line_error(self, tmp_path, capsys, batch):
+        rc = main([*make_train_sim(tmp_path, 10), "--batch", batch,
+                   "--epochs", "1", "--out", str(tmp_path / "ckpt.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == ("sasv train: error: batch size must be a positive "
+                       f"integer, got {batch}\n")
+        assert not (tmp_path / "ckpt.json").exists()
+
+    @pytest.mark.parametrize("init,lr,phase", [
+        ("random", "1e6", "joint training diverged at epoch "),
+        ("pretrained", "1e300", "ASV pretraining diverged at epoch ")])
+    def test_divergence_names_phase_epoch_and_batch(self, tmp_path, capsys,
+                                                    init, lr, phase):
+        with np.errstate(all="ignore"):
+            rc = main([*make_train_sim(tmp_path), "--optimizer", "sgd",
+                       "--lr", lr, "--init", init, "--epochs", "4",
+                       "--out", str(tmp_path / "ckpt.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"sasv train: error: {phase}")
+        assert ", batch " in err and err.count("\n") == 1

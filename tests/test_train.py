@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 from conftest import check_grad
-from sasv.core import DEFAULT_COST_MODEL, TrialLabel, label_codes
-from sasv.decision import fuse_nonlinear
+from sasv.core import DEFAULT_COST_MODEL, SPOOF, TARGET, TrialLabel, \
+    label_codes
+from sasv.decision import CalibrationParams, fuse_nonlinear
+from sasv.losses import bce_logits_mean
 from sasv.metrics import min_adcf
 from sasv.sim import EmbeddingSimConfig, simulate_embeddings, split_trials
-from sasv.train import (Checkpoint, ModelParams, OptimizerState, TrainConfig,
+from sasv.train import (ARCHITECTURES, Checkpoint, ModelParams,
+                        OptimizerState, TrainConfig, TrainingDiverged,
                         adam_step, apply_dict, backward_batch, forward_batch,
                         init_model, pretrain_heads, score_trials, sgd_step,
                         train_joint, trainable_dict, tune_fusion_rho,
-                        _stratified_batches, _batch_loss_and_grads)
+                        _stratified_batches, _batch_loss_and_grads,
+                        _pretrain_loss_and_grads)
 from sasv.sim import make_rng
 
 SMALL_HIDDEN = (6, 4)
@@ -80,6 +84,31 @@ class TestOptimizers:
         # bias correction makes the first step ~ lr * sign(g)
         assert params["p"] == pytest.approx(-0.01, rel=1e-6)
 
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_arrays_update_in_place(self, kind):
+        a = np.array([1.0, 2.0])
+        params = {"a": a, "b": np.float64(3.0)}
+        OptimizerState(kind, 0.1).step(
+            params, {"a": np.array([0.5, -0.5]), "b": np.float64(1.0)})
+        assert params["a"] is a and a[0] < 1.0 < a[1] - 1.0
+        assert params["b"] < 3.0
+
+    def test_adam_in_place_gives_the_formula_bits(self):
+        rng = np.random.default_rng(4)
+        lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+        p = rng.normal(size=(7, 5))
+        params, state = {"p": p}, OptimizerState("adam", lr)
+        ref, m, v = p.copy(), np.zeros_like(p), np.zeros_like(p)
+        for t in range(1, 6):
+            g = rng.normal(size=p.shape) * 10.0 ** rng.integers(-8, 8,
+                                                                p.shape)
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            ref = ref - lr * (m / (1 - b1 ** t)) / (
+                np.sqrt(v / (1 - b2 ** t)) + eps)
+            state.step(params, {"p": g})
+            assert params["p"].tobytes() == ref.tobytes()
+
     def test_optimizer_validation(self):
         with pytest.raises(ValueError):
             OptimizerState("rmsprop", 0.1)
@@ -122,6 +151,16 @@ class TestModelParams:
             TrainConfig(loss_variant="v3")
         with pytest.raises(ValueError):
             TrainConfig(optimizer="adagrad")
+
+
+class TestBatchSize:
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, "8", None])
+    def test_must_be_a_positive_integer(self, bad):
+        with pytest.raises(ValueError, match="batch size"):
+            TrainConfig(batch_size=bad)
+
+    def test_numpy_integers_are_accepted(self):
+        assert TrainConfig(batch_size=np.int64(4)).batch_size == 4
 
 
 class TestParamDicts:
@@ -308,6 +347,14 @@ class TestTrainJoint:
         with pytest.raises(ValueError, match="lacks"):
             train_joint(cfg, asv, cm, no_spoof, dev)
 
+    def test_divergence_names_phase_epoch_and_batch(self):
+        cfg, asv, cm, train, dev = tiny_setup(epochs=3, batch_size=16,
+                                              optimizer="sgd", lr=1e300)
+        with np.errstate(all="ignore"), pytest.raises(
+                TrainingDiverged,
+                match=r"^joint training diverged at epoch \d+, batch \d+: "):
+            train_joint(cfg, asv, cm, train, dev)
+
     def test_resume_from_given_model_does_not_mutate_it(self):
         cfg, asv, cm, train, dev = tiny_setup(epochs=2, batch_size=16)
         model = init_model(cfg, asv.dim, cm.dim)
@@ -326,6 +373,34 @@ class TestPretrain:
         bona = llr_c[[l is not TrialLabel.SPOOF for l in labels]]
         spoof = llr_c[[l is TrialLabel.SPOOF for l in labels]]
         assert np.mean(bona) > np.mean(spoof)
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    @pytest.mark.parametrize("fusion", ["linear", "nonlinear"])
+    def test_branch_gradients_match_backward_batch(self, arch, fusion):
+        """Pretraining one branch alone gives backward_batch's gradients of
+        that branch's keys, bit for bit."""
+        cfg, asv, cm, train, _ = tiny_setup(arch=arch, fusion=fusion)
+        model = init_model(cfg, asv.dim, cm.dim)
+        model.asv_calib = CalibrationParams(0.3, 1.7)
+        model.cm_calib = CalibrationParams(-0.2, 0.8)
+        e_enr = asv.matrix([t.enroll_id for t in train])
+        e_ta = asv.matrix([t.test_id for t in train])
+        e_tc = cm.matrix([t.test_id for t in train])
+        codes = label_codes([t.label for t in train])
+        s, cache = forward_batch(model, e_enr, e_ta, e_tc)
+        for branch, y, llr, aux in (
+                ("asv", codes == TARGET, "llr_a", "grad_llr_a_aux"),
+                ("cm", codes != SPOOF, "llr_c", "grad_llr_c_aux")):
+            y = y.astype(np.float64)
+            loss, grads = _pretrain_loss_and_grads(model, branch, e_enr,
+                                                   e_ta, e_tc, y)
+            full_loss, g = bce_logits_mean(cache[llr], y)
+            full = backward_batch(model, cache, np.zeros_like(g), **{aux: g})
+            assert loss == full_loss
+            assert set(grads) == set(trainable_dict(model, branch))
+            for key in grads:
+                assert np.asarray(grads[key]).tobytes() == \
+                    np.asarray(full[key]).tobytes(), key
 
     def test_pretrained_init_runs_in_train_joint(self):
         cfg, asv, cm, train, dev = tiny_setup(epochs=2, batch_size=16,
