@@ -90,7 +90,7 @@ class TestOptimizers:
         params = {"a": a, "b": np.float64(3.0)}
         OptimizerState(kind, 0.1).step(
             params, {"a": np.array([0.5, -0.5]), "b": np.float64(1.0)})
-        assert params["a"] is a and a[0] < 1.0 < a[1] - 1.0
+        assert params["a"] is a and a[0] < 1.0 and a[1] > 2.0
         assert params["b"] < 3.0
 
     def test_adam_in_place_gives_the_formula_bits(self):
