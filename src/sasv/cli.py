@@ -21,7 +21,8 @@ from .losses import LossWeights
 from .metrics import actual_adcf, eer, det_points, min_adcf, split_by_class
 from .sim import EmbeddingSimConfig, GridSpec, ScoreSimConfig, \
     boundary_grid, simulate_embeddings, simulate_scores
-from .train import ARCHITECTURES, TrainConfig, train_joint
+from .train import ARCHITECTURES, TrainConfig, TrainingDiverged, \
+    train_joint
 
 
 def _add_cost_flags(parser):
@@ -295,8 +296,13 @@ def _cmd_train(args):
         cost_model=_cost_model(args),
         loss_weights=LossWeights(),
     )
-    ckpt, log = train_joint(cfg, asv_store, cm_store, train_trials,
-                            dev_trials)
+    try:
+        ckpt, log = train_joint(cfg, asv_store, cm_store, train_trials,
+                                dev_trials)
+    except TrainingDiverged as exc:
+        if args.log:  # keep the epochs that finished
+            _write_log(args.log, exc.log)
+        raise
     config_echo = {
         "architecture": cfg.architecture, "fusion_mode": cfg.fusion_mode,
         "loss_variant": cfg.loss_variant, "optimizer": cfg.optimizer,
@@ -309,10 +315,15 @@ def _cmd_train(args):
                             dev_min_adcf=ckpt.dev_min_adcf,
                             dev_threshold=ckpt.dev_threshold)
     if args.log:
-        text = "".join(json.dumps(entry, sort_keys=True, allow_nan=False)
-                       + "\n" for entry in log)
-        fileio._atomic_write(args.log, text)
+        _write_log(args.log, log)
     return 0
+
+
+def _write_log(path, entries):
+    """The training log: one sorted-key strict JSON line per epoch."""
+    fileio._atomic_write(path, "".join(
+        json.dumps(entry, sort_keys=True, allow_nan=False) + "\n"
+        for entry in entries))
 
 
 def _cmd_det(args):

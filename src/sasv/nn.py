@@ -16,19 +16,43 @@ DEFAULT_ACTIVATION = "leaky_relu"
 LEAKY_SLOPE = 0.3
 
 
-def _leaky(z):
+# Each activation is (forward, slope).  forward(z, out) writes the layer
+# output into out; slope(h, out) writes the derivative at that layer's
+# pre-activation, read off its output h, into out.  Both return out.
+
+def _leaky(z, out):
     # max(z, 0.3 z) is z for z > 0 and 0.3 z otherwise, -0.0 and NaN included
-    return np.maximum(z, LEAKY_SLOPE * z)
+    np.multiply(z, LEAKY_SLOPE, out=out)
+    return np.maximum(z, out, out=out)
 
 
-def _leaky_grad(z):
-    return np.where(z > 0, 1.0, LEAKY_SLOPE)
+def _leaky_slope(h, out):
+    # h > 0 exactly where z > 0 (NaN included: neither is), so this is the
+    # derivative np.where(z > 0, 1.0, LEAKY_SLOPE) bit for bit
+    np.greater(h, 0.0, out=out)
+    return np.maximum(out, LEAKY_SLOPE, out=out)
+
+
+def _tanh_slope(h, out):
+    # 1 - tanh(z)^2 with tanh(z) = h
+    np.square(h, out=out)
+    return np.subtract(1.0, out, out=out)
+
+
+def _identity(z, out):
+    np.copyto(out, z)
+    return out
+
+
+def _ones(h, out):
+    out.fill(1.0)
+    return out
 
 
 _ACTIVATIONS = {
-    "leaky_relu": (_leaky, _leaky_grad),
-    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
-    "identity": (lambda z: z, lambda z: np.ones_like(z)),
+    "leaky_relu": (_leaky, _leaky_slope),
+    "tanh": (np.tanh, _tanh_slope),
+    "identity": (_identity, _ones),
 }
 
 
@@ -85,11 +109,53 @@ def init_mlp(input_dim, hidden=DEFAULT_HIDDEN, rng=None,
     return MlpParams(weights, biases, [activation] * len(hidden))
 
 
-def mlp_forward(params, x):
+class MlpWork:
+    """Buffers for `mlp_forward`/`mlp_backward` on up to `rows` inputs.
+
+    One set holds the pre-activation scratch, every layer's output, the
+    deltas, the activation slope, the input gradient and the weight and
+    bias gradients of one MLP shape.  A call on n inputs works in views of
+    the first n rows, so one set serves every batch of a training phase.
+    What a call returns (scores, tape, gradients) lives in these buffers and
+    stays valid until the next call with the same work.
+    """
+
+    def __init__(self, params, rows):
+        widths = [w.shape[0] for w in params.weights]
+        hidden = max(widths[:-1], default=0)
+        self.rows = rows
+        self.outputs = [np.empty((rows, k)) for k in widths]
+        self.deltas = [np.empty((rows, k)) for k in widths]
+        # flat, so that an (n, k) view of the first n * k values is
+        # C-contiguous for every hidden width k
+        self.pre = np.empty(rows * hidden)
+        self.slope = np.empty(rows * hidden)
+        self.input_grad = np.empty((rows, params.input_dim))
+        self.grad_w = [np.empty_like(w) for w in params.weights]
+        self.grad_b = [np.empty_like(b) for b in params.biases]
+
+
+def _work_for(params, n, work):
+    """work, or a fresh MlpWork for n rows if it is None."""
+    if work is None:
+        return MlpWork(params, n)
+    if n > work.rows:
+        raise ValueError(f"{n} rows exceed the work's {work.rows}")
+    return work
+
+
+def _rows(flat, n, k):
+    """The first n * k values of a flat buffer as a C-contiguous (n, k)."""
+    return flat[:n * k].reshape(n, k)
+
+
+def mlp_forward(params, x, work=None):
     """Affine-activation chain; returns (scores, tape) for backprop.
 
     For a single vector input the score is a float; for a batch (n, d) it is
-    an (n,) array.
+    an (n,) array.  Every layer writes into `work` (an `MlpWork`; None
+    builds one sized to x), so the batch scores and the tape alias its
+    buffers.  The tape holds the input and each hidden layer's output.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -97,49 +163,56 @@ def mlp_forward(params, x):
     if h.shape[1] != params.input_dim:
         raise ValueError(f"input dim {h.shape[1]} != expected "
                          f"{params.input_dim}")
+    n = h.shape[0]
+    work = _work_for(params, n, work)
     posts = [h]
-    pres = []
-    n_layers = len(params.weights)
+    last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w.T
-        z += b
-        pres.append(z)
-        if i < n_layers - 1:
-            h = _ACTIVATIONS[params.activations[i]][0](z)
+        out = work.outputs[i][:n]
+        if i < last:
+            z = np.matmul(h, w.T, out=_rows(work.pre, n, w.shape[0]))
+            z += b
+            h = _ACTIVATIONS[params.activations[i]][0](z, out)
             posts.append(h)
         else:
-            h = z
+            h = np.matmul(h, w.T, out=out)
+            h += b
     score = h[:, 0]
-    tape = (posts, pres, single)
-    return (float(score[0]) if single else score), tape
+    return (float(score[0]) if single else score), (posts, single)
 
 
-def mlp_backward(params, tape, upstream):
-    """Gradients of sum(upstream * score) w.r.t. params and input."""
-    posts, pres, single = tape
-    if len(pres) != len(params.weights):
+def mlp_backward(params, tape, upstream, work=None):
+    """Gradients of sum(upstream * score) w.r.t. params and input.
+
+    Each activation's derivative is computed from its output on the tape.
+    The gradients are written into `work` (None builds a fresh one) and
+    alias its buffers until the next call with the same work.
+    """
+    posts, single = tape
+    if len(posts) != len(params.weights):
         raise ValueError("tape does not match parameters")
     up = np.atleast_1d(np.asarray(upstream, dtype=np.float64))
     n = posts[0].shape[0]
     if up.shape not in ((n,), (1,)):
         raise ValueError("upstream shape does not match tape batch")
-    if up.shape == (1,) and n > 1:
-        up = np.full(n, up[0])
+    work = _work_for(params, n, work)
 
-    delta = np.zeros_like(pres[-1])
+    delta = work.deltas[-1][:n]
     delta[:, 0] = up
-    grad_w = [None] * len(params.weights)
-    grad_b = [None] * len(params.biases)
     for i in range(len(params.weights) - 1, -1, -1):
-        grad_w[i] = delta.T @ posts[i]
-        grad_b[i] = delta.sum(axis=0)
+        np.matmul(delta.T, posts[i], out=work.grad_w[i])
+        np.sum(delta, axis=0, out=work.grad_b[i])
         if i > 0:
-            delta = delta @ params.weights[i]
-            delta *= _ACTIVATIONS[params.activations[i - 1]][1](pres[i - 1])
-    input_grad = delta @ params.weights[0]
+            delta = np.matmul(delta, params.weights[i],
+                              out=work.deltas[i - 1][:n])
+            slope = _ACTIVATIONS[params.activations[i - 1]][1]
+            delta *= slope(posts[i], _rows(work.slope, n, delta.shape[1]))
+    input_grad = np.matmul(delta, params.weights[0],
+                           out=work.input_grad[:n])
     if single:
         input_grad = input_grad[0]
-    return MlpParams(grad_w, grad_b, list(params.activations)), input_grad
+    return MlpParams(list(work.grad_w), list(work.grad_b),
+                     list(params.activations)), input_grad
 
 
 def cosine_score(e1, e2):

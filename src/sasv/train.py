@@ -14,8 +14,9 @@ from .decision import CalibrationParams, FusionConfig, calibrate, fuse, \
 from .losses import LossWeights, SoftAdcfConfig, combined_loss_v1, \
     combined_loss_v2
 from .metrics import min_adcf
-from .nn import DEFAULT_HIDDEN, MlpParams, cosine_score, init_mlp, \
-    mlp_backward, mlp_forward, weighted_cosine_backward, weighted_cosine_score
+from .nn import DEFAULT_HIDDEN, MlpParams, MlpWork, cosine_score, \
+    init_mlp, mlp_backward, mlp_forward, weighted_cosine_backward, \
+    weighted_cosine_score
 from .sim import make_rng
 
 ARCHITECTURES = ("mlp-mlp", "cosine-mlp", "wcos-mlp")
@@ -108,6 +109,10 @@ class TrainConfig:
                 and self.batch_size > 0):
             raise ValueError(f"batch size must be a positive integer, "
                              f"got {self.batch_size!r}")
+        if not (isinstance(self.epochs, numbers.Integral)
+                and self.epochs >= 0):
+            raise ValueError(f"epochs must be a non-negative integer, "
+                             f"got {self.epochs!r}")
         if self.cost_model is None:
             from .core import DEFAULT_COST_MODEL
             object.__setattr__(self, "cost_model", DEFAULT_COST_MODEL)
@@ -314,46 +319,70 @@ def apply_dict(model, pdict):
 
 # ----------------------------------------------------------------- forward
 
-def _branch_forward(model, branch, e_enr, e_tst_asv, e_tst_cm):
-    """One branch's raw scores and tape (None for the plain cosine head)."""
+def _branch_mlp(model, branch):
+    """The MLP a branch runs, or None for the (weighted) cosine heads."""
+    return model.cm_mlp if branch == "cm" else model.asv_mlp
+
+
+def _mlp_works(model, rows):
+    """branch -> MlpWork for batches of up to rows, for each branch's MLP."""
+    return {branch: MlpWork(_branch_mlp(model, branch), rows)
+            for branch in ("asv", "cm")
+            if _branch_mlp(model, branch) is not None}
+
+
+def _branch_forward(model, branch, e_enr, e_tst_asv, e_tst_cm, work=None):
+    """One branch's raw scores and tape (None for the plain cosine head).
+
+    An MLP branch runs in work (an MlpWork, or None for fresh buffers).
+    """
     if branch == "cm":
         return mlp_forward(model.cm_mlp,
-                           np.concatenate([e_tst_asv, e_tst_cm], axis=1))
+                           np.concatenate([e_tst_asv, e_tst_cm], axis=1),
+                           work)
     if model.architecture == "mlp-mlp":
         return mlp_forward(model.asv_mlp,
-                           np.concatenate([e_enr, e_tst_asv], axis=1))
+                           np.concatenate([e_enr, e_tst_asv], axis=1), work)
     if model.architecture == "cosine-mlp":
         return cosine_score(e_enr, e_tst_asv), None
     return weighted_cosine_score(model.w_asv, e_enr, e_tst_asv)
 
 
-def _branch_backward(model, branch, s, tape, g_calib, g_llr, grads):
+def _branch_backward(model, branch, s, tape, g_calib, g_llr, grads,
+                     work=None):
     """Add one branch's gradients to grads.
 
     g_calib feeds its calibration and g_llr (the gradient on its LLR) its
-    head; s and tape are what `_branch_forward` returned.
+    head; s and tape are what `_branch_forward` returned, and work is the
+    one it ran in.  MLP gradients alias work's buffers.
     """
     grads[f"{branch}_calib.w0"] = np.float64(np.sum(g_calib))
     grads[f"{branch}_calib.w1"] = np.float64(np.sum(g_calib * s))
     calib = model.asv_calib if branch == "asv" else model.cm_calib
     g_s = g_llr * calib.w1
     if branch == "cm":
-        _mlp_into_dict("cm_mlp", mlp_backward(model.cm_mlp, tape, g_s)[0],
-                       grads)
+        _mlp_into_dict("cm_mlp",
+                       mlp_backward(model.cm_mlp, tape, g_s, work)[0], grads)
     elif model.architecture == "mlp-mlp":
-        _mlp_into_dict("asv_mlp", mlp_backward(model.asv_mlp, tape, g_s)[0],
-                       grads)
+        _mlp_into_dict("asv_mlp",
+                       mlp_backward(model.asv_mlp, tape, g_s, work)[0], grads)
     elif model.architecture == "wcos-mlp":
         grads["w_asv"] = weighted_cosine_backward(tape, g_s)
 
 
-def forward_batch(model, e_enr, e_tst_asv, e_tst_cm):
-    """Score a batch; returns (s_sasv, cache) with everything backward needs."""
-    cache = {}
-    s_asv, cache["asv_tape"] = _branch_forward(model, "asv", e_enr,
-                                               e_tst_asv, e_tst_cm)
-    s_cm, cache["cm_tape"] = _branch_forward(model, "cm", e_enr, e_tst_asv,
-                                             e_tst_cm)
+def forward_batch(model, e_enr, e_tst_asv, e_tst_cm, works=None):
+    """Score a batch; returns (s_sasv, cache) with everything backward needs.
+
+    works maps a branch to the MlpWork its MLP runs in (see `_mlp_works`);
+    a branch without one gets fresh buffers.  The cache stays valid until
+    the next call with the same works.
+    """
+    works = {} if works is None else works
+    cache = {"works": works}
+    s_asv, cache["asv_tape"] = _branch_forward(
+        model, "asv", e_enr, e_tst_asv, e_tst_cm, works.get("asv"))
+    s_cm, cache["cm_tape"] = _branch_forward(
+        model, "cm", e_enr, e_tst_asv, e_tst_cm, works.get("cm"))
     llr_a = calibrate(s_asv, model.asv_calib)
     llr_c = calibrate(s_cm, model.cm_calib)
     cache["s_asv"], cache["s_cm"] = s_asv, s_cm
@@ -387,10 +416,11 @@ def backward_batch(model, cache, grad_s, grad_llr_a_aux=None,
     else:
         raise ValueError(f"unknown calib_gradients {calib_gradients!r}")
 
+    works = cache["works"]
     _branch_backward(model, "asv", cache["s_asv"], cache["asv_tape"],
-                     g_a_calib, g_a_total, grads)
+                     g_a_calib, g_a_total, grads, works.get("asv"))
     _branch_backward(model, "cm", cache["s_cm"], cache["cm_tape"],
-                     g_c_calib, g_c_total, grads)
+                     g_c_calib, g_c_total, grads, works.get("cm"))
     return grads
 
 
@@ -449,7 +479,13 @@ def _batch_loss_and_grads(model, cfg, s, cache, labels):
 
 
 class TrainingDiverged(RuntimeError):
-    """A batch loss or a scalar parameter came out infinite or NaN."""
+    """A batch loss or a scalar parameter came out infinite or NaN.
+
+    log holds the entries of the epochs `train_joint` finished before it,
+    as it would have returned them (none if pretraining diverged).
+    """
+
+    log = ()
 
 
 def _train_step(model, optimizer, params, grads, loss, phase, epoch, batch):
@@ -488,35 +524,43 @@ def train_joint(cfg, asv_store, cm_store, train_trials, dev_trials,
         if len(present) != 3:
             raise ValueError(f"{split_name} split lacks some classes")
 
+    embeddings = _embeddings(asv_store, cm_store, train_trials)
+    e_enr, e_tst_asv, e_tst_cm = embeddings
+    dev_embeddings = _embeddings(asv_store, cm_store, dev_trials)
+    codes = label_codes([t.label for t in train_trials])
+    dev_codes = label_codes([t.label for t in dev_trials])
+
     rng = make_rng(cfg.seed)
     if model is None:
         if cfg.init == "pretrained":
-            model = pretrain_heads(cfg, asv_store, cm_store, train_trials)
+            model = pretrain_heads(cfg, asv_store, cm_store, train_trials,
+                                   embeddings)
         else:
             model = init_model(cfg, asv_store.dim, cm_store.dim, rng)
     else:
         model = model.copy()
 
-    e_enr, e_tst_asv, e_tst_cm = _embeddings(asv_store, cm_store,
-                                             train_trials)
-    dev_embeddings = _embeddings(asv_store, cm_store, dev_trials)
-    codes = label_codes([t.label for t in train_trials])
-    dev_codes = label_codes([t.label for t in dev_trials])
-
     params = _param_refs(model)
     optimizer = OptimizerState(cfg.optimizer, cfg.lr)
+    works = None
     log = []
     best = None
     for epoch in range(1, cfg.epochs + 1):
         epoch_losses = []
         batches = _stratified_batches(codes, cfg.batch_size, rng)
+        if works is None:  # every epoch splits each class the same way
+            works = _mlp_works(model, max(batch.size for batch in batches))
         for number, batch in enumerate(batches, 1):
             s, cache = forward_batch(model, e_enr[batch], e_tst_asv[batch],
-                                     e_tst_cm[batch])
+                                     e_tst_cm[batch], works)
             loss, grads = _batch_loss_and_grads(model, cfg, s, cache,
                                                 codes[batch])
-            _train_step(model, optimizer, params, grads, loss,
-                        "joint training", epoch, number)
+            try:
+                _train_step(model, optimizer, params, grads, loss,
+                            "joint training", epoch, number)
+            except TrainingDiverged as exc:
+                exc.log = log
+                raise
             epoch_losses.append(loss)
         # [0]: the dev tape is not kept past the call
         report = min_adcf(forward_batch(model, *dev_embeddings)[0],
@@ -537,28 +581,36 @@ def train_joint(cfg, asv_store, cm_store, train_trials, dev_trials,
     return best, log
 
 
-def _pretrain_loss_and_grads(model, branch, e_enr, e_tst_asv, e_tst_cm, y):
+def _pretrain_loss_and_grads(model, branch, e_enr, e_tst_asv, e_tst_cm, y,
+                             work=None):
     """One branch's BCE on its own LLR; returns (loss, grads of its keys).
 
-    Only that branch is scored and back-propagated.  backward_batch would
-    add the fused path's zero gradient (+0.0) to the BCE gradient, which
-    changes no bit: a BCE gradient (sigmoid(x) - y) / n is never -0.0.
+    Only that branch is scored and back-propagated, in work if it is an MLP.
+    backward_batch would add the fused path's zero gradient (+0.0) to the
+    BCE gradient, which changes no bit: a BCE gradient (sigmoid(x) - y) / n
+    is never -0.0.
     """
     from .losses import bce_logits_mean
 
-    s, tape = _branch_forward(model, branch, e_enr, e_tst_asv, e_tst_cm)
+    s, tape = _branch_forward(model, branch, e_enr, e_tst_asv, e_tst_cm,
+                              work)
     calib = model.asv_calib if branch == "asv" else model.cm_calib
     loss, g = bce_logits_mean(calibrate(s, calib), y)
     grads = {}
-    _branch_backward(model, branch, s, tape, g, g, grads)
+    _branch_backward(model, branch, s, tape, g, g, grads, work)
     return loss, grads
 
 
-def pretrain_heads(cfg, asv_store, cm_store, trials):
-    """Train each branch alone with its auxiliary BCE; returns ModelParams."""
+def pretrain_heads(cfg, asv_store, cm_store, trials, embeddings=None):
+    """Train each branch alone with its auxiliary BCE; returns ModelParams.
+
+    embeddings: the trials' (e_enr, e_tst_asv, e_tst_cm) matrices, if the
+    caller has already gathered them.
+    """
     rng = make_rng(cfg.seed)
     model = init_model(cfg, asv_store.dim, cm_store.dim, rng)
-    embeddings = _embeddings(asv_store, cm_store, trials)
+    if embeddings is None:
+        embeddings = _embeddings(asv_store, cm_store, trials)
     codes = label_codes([t.label for t in trials])
     bonafide = codes != SPOOF
     # the ASV branch learns target vs nontarget on bonafide trials only
@@ -568,6 +620,10 @@ def pretrain_heads(cfg, asv_store, cm_store, trials):
         optimizer = OptimizerState(cfg.optimizer, cfg.lr)
         idx_all = np.nonzero(keep)[0]
         n_batches = max(1, -(-idx_all.size // cfg.batch_size))
+        mlp = _branch_mlp(model, branch)
+        # np.array_split's first chunk is the largest
+        work = None if mlp is None else \
+            MlpWork(mlp, -(-idx_all.size // n_batches))
         for epoch in range(1, cfg.epochs + 1):
             order = idx_all.copy()
             rng.shuffle(order)
@@ -575,7 +631,7 @@ def pretrain_heads(cfg, asv_store, cm_store, trials):
             for number, chunk in enumerate(chunks, 1):
                 loss, grads = _pretrain_loss_and_grads(
                     model, branch, *(e[chunk] for e in embeddings),
-                    y[chunk].astype(np.float64))
+                    y[chunk].astype(np.float64), work)
                 _train_step(model, optimizer, params, grads, loss,
                             f"{branch.upper()} pretraining", epoch, number)
     return model

@@ -474,3 +474,31 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"sasv train: error: {phase}")
         assert ", batch " in err and err.count("\n") == 1
+
+    def test_divergence_keeps_the_log_of_finished_epochs(self, tmp_path,
+                                                         capsys):
+        log = tmp_path / "log.jsonl"
+        with np.errstate(all="ignore"):
+            rc = main([*make_train_sim(tmp_path), "--optimizer", "sgd",
+                       "--lr", "1e6", "--epochs", "4",
+                       "--out", str(tmp_path / "ckpt.json"),
+                       "--log", str(log)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        epoch = int(err.split("diverged at epoch ")[1].split(",")[0])
+        assert epoch > 1
+        entries = [json.loads(line, parse_constant=reject_constant)
+                   for line in log.read_text().splitlines()]
+        assert [e["epoch"] for e in entries] == list(range(1, epoch))
+        assert not (tmp_path / "ckpt.json").exists()
+
+    @pytest.mark.parametrize("epochs", ["-5", "-1"])
+    def test_negative_epochs_is_one_line_error(self, tmp_path, capsys,
+                                               epochs):
+        rc = main([*make_train_sim(tmp_path, 10), "--epochs", epochs,
+                   "--out", str(tmp_path / "ckpt.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == ("sasv train: error: epochs must be a non-negative "
+                       f"integer, got {epochs}\n")
+        assert not (tmp_path / "ckpt.json").exists()

@@ -1,10 +1,50 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import check_grad
-from sasv.nn import (DEFAULT_HIDDEN, LEAKY_SLOPE, MlpParams, cosine_score,
-                     init_mlp, mlp_backward, mlp_forward,
-                     weighted_cosine_backward, weighted_cosine_score)
+from sasv.nn import (DEFAULT_HIDDEN, LEAKY_SLOPE, MlpParams, MlpWork,
+                     _ACTIVATIONS, cosine_score, init_mlp, mlp_backward,
+                     mlp_forward, weighted_cosine_backward,
+                     weighted_cosine_score)
+
+ACTIVATIONS = ["leaky_relu", "tanh", "identity"]
+
+# The activations and derivatives as functions of the pre-activation z, in
+# the allocating form the MLP used before it computed derivatives from
+# layer outputs into reused buffers.
+REFERENCE = {
+    "leaky_relu": (lambda z: np.maximum(z, LEAKY_SLOPE * z),
+                   lambda z: np.where(z > 0, 1.0, LEAKY_SLOPE)),
+    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
+    "identity": (lambda z: z, np.ones_like),
+}
+
+
+def reference_forward_backward(params, x, upstream):
+    """Allocating forward and backward that keep every pre-activation."""
+    posts, pres = [x], []
+    h = x
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = h @ w.T
+        z += b
+        pres.append(z)
+        if i < len(params.weights) - 1:
+            h = REFERENCE[params.activations[i]][0](z)
+            posts.append(h)
+    delta = np.zeros_like(pres[-1])
+    delta[:, 0] = upstream
+    grads = []
+    for i in range(len(params.weights) - 1, -1, -1):
+        grads[:0] = [delta.T @ posts[i], delta.sum(axis=0)]
+        if i > 0:
+            delta = delta @ params.weights[i]
+            delta *= REFERENCE[params.activations[i - 1]][1](pres[i - 1])
+    return pres[-1][:, 0], grads, delta @ params.weights[0]
+
+
+def bits(arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
 
 
 def small_mlp(rng, input_dim=5, hidden=(4, 3), activation="leaky_relu"):
@@ -137,6 +177,68 @@ class TestMlpBackward:
         _, tape = mlp_forward(p, rng.normal(size=(3, 5)))
         with pytest.raises(ValueError, match="upstream"):
             mlp_backward(p, tape, np.ones(5))
+
+
+class TestMlpWork:
+    @settings(max_examples=60, deadline=None)
+    @given(activation=st.sampled_from(ACTIVATIONS),
+           sizes=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_reused_work_gives_the_bits_of_fresh_work(self, activation,
+                                                       sizes, seed):
+        """One work, largest batch first, then smaller batches and a single
+        vector: every call matches a fresh work and the allocating
+        reference bit for bit."""
+        rng = np.random.default_rng(seed)
+        p = init_mlp(5, (7, 4), rng, activation)
+        rows = max(sizes)
+        work = MlpWork(p, rows)
+        for n in [rows, *sizes, None]:
+            x = rng.normal(scale=3.0, size=5 if n is None else (n, 5))
+            up = rng.normal(size=1 if n is None else n)
+            s0, tape0 = mlp_forward(p, x)
+            g0, gx0 = mlp_backward(p, tape0, up)
+            s, tape = mlp_forward(p, x, work)
+            g, gx = mlp_backward(p, tape, up, work)
+            assert bits([s, gx, *g.weights, *g.biases]) == \
+                bits([s0, gx0, *g0.weights, *g0.biases])
+            ref_s, ref_g, ref_gx = reference_forward_backward(
+                p, np.atleast_2d(x), up)
+            assert bits([np.atleast_1d(s), np.atleast_2d(gx)]) == \
+                bits([ref_s, ref_gx])
+            assert bits([w for pair in zip(g.weights, g.biases)
+                         for w in pair]) == bits(ref_g)
+
+    def test_gradients_alias_the_work(self):
+        rng = np.random.default_rng(3)
+        p = small_mlp(rng)
+        work = MlpWork(p, 4)
+        _, tape = mlp_forward(p, rng.normal(size=(4, 5)), work)
+        g, _ = mlp_backward(p, tape, np.ones(4), work)
+        assert all(a is b for a, b in zip(g.weights, work.grad_w))
+
+    def test_batch_larger_than_work_is_rejected(self):
+        rng = np.random.default_rng(4)
+        p = small_mlp(rng)
+        with pytest.raises(ValueError, match="5 rows exceed"):
+            mlp_forward(p, rng.normal(size=(5, 5)), MlpWork(p, 4))
+
+    @settings(max_examples=300, deadline=None)
+    @given(z=st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                                allow_subnormal=True), min_size=1,
+                      max_size=8),
+           activation=st.sampled_from(ACTIVATIONS))
+    def test_output_derivatives_match_pre_activation_forms(self, z,
+                                                           activation):
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324,
+                    -5e-324, 2.2e-308, -2.2e-308, 1e-320, -1e-320]
+        z = np.array([*z, *specials])
+        forward, slope = _ACTIVATIONS[activation]
+        ref_forward, ref_slope = REFERENCE[activation]
+        h = forward(z, np.empty_like(z))
+        assert h.tobytes() == ref_forward(z).tobytes()
+        assert slope(h, np.empty_like(z)).tobytes() == \
+            ref_slope(z).tobytes()
 
 
 class TestCosine:

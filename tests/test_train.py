@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -161,6 +163,17 @@ class TestBatchSize:
 
     def test_numpy_integers_are_accepted(self):
         assert TrainConfig(batch_size=np.int64(4)).batch_size == 4
+
+
+class TestEpochs:
+    @pytest.mark.parametrize("bad", [-1, -5, 1.5, "8", None])
+    def test_must_be_a_non_negative_integer(self, bad):
+        with pytest.raises(ValueError, match="epochs"):
+            TrainConfig(epochs=bad)
+
+    @pytest.mark.parametrize("good", [0, 3, np.int64(2)])
+    def test_zero_and_positive_integers_are_accepted(self, good):
+        assert TrainConfig(epochs=good).epochs == good
 
 
 class TestParamDicts:
@@ -354,6 +367,24 @@ class TestTrainJoint:
                 TrainingDiverged,
                 match=r"^joint training diverged at epoch \d+, batch \d+: "):
             train_joint(cfg, asv, cm, train, dev)
+
+    def test_divergence_carries_the_finished_epochs(self):
+        cfg, asv, cm, train, dev = tiny_setup(seed=1, epochs=4,
+                                              batch_size=24, optimizer="sgd",
+                                              lr=1e4)
+        with np.errstate(all="ignore"), pytest.raises(
+                TrainingDiverged) as info:
+            train_joint(cfg, asv, cm, train, dev)
+        epoch = int(re.search(r"at epoch (\d+),", str(info.value)).group(1))
+        assert epoch > 1
+        assert [e["epoch"] for e in info.value.log] == \
+            list(range(1, epoch))
+        # the finished epochs are the ones a run that stops before the
+        # diverging epoch logs
+        with np.errstate(all="ignore"):
+            _, log = train_joint(replace(cfg, epochs=epoch - 1), asv, cm,
+                                 train, dev)
+        assert info.value.log == log
 
     def test_resume_from_given_model_does_not_mutate_it(self):
         cfg, asv, cm, train, dev = tiny_setup(epochs=2, batch_size=16)
