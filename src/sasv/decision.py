@@ -123,19 +123,31 @@ def fuse_nonlinear(llr_asv, llr_cm, rho_tilde):
     rho_tilde=0 returns llr_asv exactly; rho_tilde=1 returns llr_cm exactly.
     Accepts scalars or broadcastable arrays.
     """
+    return _fuse_nonlinear(np.asarray(llr_asv, dtype=np.float64),
+                           np.asarray(llr_cm, dtype=np.float64), rho_tilde)
+
+
+def _lse_terms(a, b):
+    """The terms of the fusion of float64 a and b that do not depend on rho:
+    m = max(-a, -b), e^(-a-m) and e^(-b-m)."""
+    m = np.maximum(-a, -b)
+    return m, np.exp(-a - m), np.exp(-b - m)
+
+
+def _fuse_nonlinear(a, b, rho_tilde, terms=None):
+    """fuse_nonlinear of float64 a and b; terms is _lse_terms(a, b), if the
+    caller fuses the same pair at several weights."""
     if not 0.0 <= rho_tilde <= 1.0:
         raise ValueError(f"rho_tilde must lie in [0,1], got {rho_tilde}")
-    a = np.asarray(llr_asv, dtype=np.float64)
-    b = np.asarray(llr_cm, dtype=np.float64)
-    if rho_tilde == 0.0:
-        out = np.broadcast_arrays(a, b)[0].copy()
-        return float(out) if out.ndim == 0 else out
-    if rho_tilde == 1.0:
-        out = np.broadcast_arrays(a, b)[1].copy()
-        return float(out) if out.ndim == 0 else out
-    m = np.maximum(-a, -b)
-    out = -(m + np.log((1.0 - rho_tilde) * np.exp(-a - m)
-                       + rho_tilde * np.exp(-b - m)))
+    if rho_tilde == 0.0 or rho_tilde == 1.0:
+        out = np.broadcast_arrays(a, b)[int(rho_tilde)].copy()
+    else:
+        m, ea, eb = _lse_terms(a, b) if terms is None else terms
+        out = np.multiply(ea, 1.0 - rho_tilde, out=np.empty_like(m))
+        out += rho_tilde * eb
+        np.log(out, out=out)
+        out += m
+        np.negative(out, out=out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -193,9 +205,7 @@ def fuse_vjp(llr_asv, llr_cm, config, grad):
     if config.mode == "linear":
         return grad * LINEAR_FUSION_SCALE, grad * LINEAR_FUSION_SCALE, 0.0
     r = config.rho_tilde
-    m = np.maximum(-llr_asv, -llr_cm)
-    ea = np.exp(-llr_asv - m)
-    eb = np.exp(-llr_cm - m)
+    _, ea, eb = _lse_terms(llr_asv, llr_cm)
     denom = (1.0 - r) * ea + r * eb
     return (grad * ((1.0 - r) * ea / denom), grad * (r * eb / denom),
             float(np.sum(grad * ((ea - eb) / denom))))

@@ -89,32 +89,71 @@ def adcf_at(scores, labels, tau, cost_model, normalized=True):
                     normalized)
 
 
-def _sweep(tar, non, spf, thresholds, cost_model, normalized):
-    """a-DCF at each threshold, via sorted-class cumulative counts."""
-    t = np.asarray(thresholds, dtype=np.float64)
-    tar_s, non_s, spf_s = np.sort(tar), np.sort(non), np.sort(spf)
-    p_miss = np.searchsorted(tar_s, t, side="left") / tar_s.size
-    p_fa_non = 1.0 - np.searchsorted(non_s, t, side="left") / non_s.size
-    p_fa_spf = 1.0 - np.searchsorted(spf_s, t, side="left") / spf_s.size
-    return _combine(cost_model, p_miss, p_fa_non, p_fa_spf, normalized)
+def _midpoints(lo, hi):
+    """A threshold in (lo, hi] for each pair of consecutive distinct scores.
+
+    The midpoint (lo + hi) / 2 where it lies there; else lo/2 + hi/2, for
+    a sum that overflows; else hi, for adjacent doubles or lo = -inf.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mid = (lo + hi) / 2.0
+        half = lo / 2.0 + hi / 2.0
+        return np.where((lo < mid) & (mid <= hi), mid,
+                        np.where((lo < half) & (half <= hi), half, hi))
 
 
 def candidate_thresholds(scores):
     """Midpoints between consecutive distinct scores plus +-inf sentinels."""
     uniq = np.unique(np.asarray(scores, dtype=np.float64))
-    mids = (uniq[:-1] + uniq[1:]) / 2.0 if uniq.size > 1 else np.empty(0)
-    return np.concatenate(([-np.inf], mids, [np.inf]))
+    return np.concatenate(([-np.inf], _midpoints(uniq[:-1], uniq[1:]),
+                           [np.inf]))
+
+
+def _sweep(uniq, classes, cost_model, normalized):
+    """a-DCF at each of candidate_thresholds(scores), uniq = unique(scores).
+
+    Candidate k+1 lies in (uniq[k], uniq[k+1]], so a class has as many
+    scores below it as below uniq[k+1]: one bincount over the distinct
+    scores and a cumsum count each class once.  Candidate 0 (-inf) reads 0
+    and the +inf sentinel reads the count below +inf.
+    """
+    top = int(np.searchsorted(uniq, np.inf))
+    value, term = np.empty((2, uniq.size + 1))
+    cm = cost_model
+    weights = (cm.c_miss_tar * cm.pi_tar, cm.c_fa_non * cm.pi_non,
+               cm.c_fa_spf * cm.pi_spf)
+    # the operations and their order are _combine's, so the bits are too;
+    # the counts are integers below 2**53, exact in float64
+    for i, (x, weight) in enumerate(zip(classes, weights)):
+        out = term if i else value
+        bins = np.searchsorted(uniq, np.sort(x))
+        out[0] = 0.0
+        np.cumsum(np.bincount(bins, minlength=uniq.size), out=out[1:])
+        out[-1] = out[top]
+        out /= x.size
+        if i:
+            np.subtract(1.0, out, out=out)
+        out *= weight
+        if i:
+            value += term
+    if normalized:
+        value /= default_system_cost(cost_model)
+    return value
 
 
 def min_adcf(scores, labels, cost_model, normalized=True):
     """Global minimum a-DCF over all real thresholds (midpoint sweep)."""
-    tar, non, spf = split_by_class(scores, labels)
+    s = np.asarray(scores, dtype=np.float64)
+    tar, non, spf = split_by_class(s, labels)
     if min(tar.size, non.size, spf.size) == 0:
         raise ValueError("all three classes must be present for min a-DCF")
-    cands = candidate_thresholds(scores)
-    values = _sweep(tar, non, spf, cands, cost_model, normalized)
+    uniq = np.unique(s)
+    values = _sweep(uniq, (tar, non, spf), cost_model, normalized)
     best = int(np.argmin(values))
-    tau = float(cands[best])
+    if 0 < best < uniq.size:  # candidate_thresholds(s)[best], alone
+        tau = float(_midpoints(uniq[best - 1:best], uniq[best:best + 1])[0])
+    else:
+        tau = math.inf if best else -math.inf
     p_miss, p_fa_non, p_fa_spf = _rates(tar, non, spf, tau)
     return AdcfReport(
         min_adcf=float(values[best]),

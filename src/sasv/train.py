@@ -10,7 +10,7 @@ import numpy as np
 
 from .core import NONTARGET, SPOOF, TARGET, label_codes
 from .decision import CalibrationParams, FusionConfig, calibrate, fuse, \
-    fuse_vjp, sigmoid
+    fuse_vjp, sigmoid, _fuse_nonlinear, _lse_terms
 from .losses import LossWeights, SoftAdcfConfig, combined_loss_v1, \
     combined_loss_v2
 from .metrics import min_adcf
@@ -551,16 +551,19 @@ def train_joint(cfg, asv_store, cm_store, train_trials, dev_trials,
         if works is None:  # every epoch splits each class the same way
             works = _mlp_works(model, max(batch.size for batch in batches))
         for number, batch in enumerate(batches, 1):
-            s, cache = forward_batch(model, e_enr[batch], e_tst_asv[batch],
-                                     e_tst_cm[batch], works)
-            loss, grads = _batch_loss_and_grads(model, cfg, s, cache,
-                                                codes[batch])
-            try:
-                _train_step(model, optimizer, params, grads, loss,
-                            "joint training", epoch, number)
-            except TrainingDiverged as exc:
-                exc.log = log
-                raise
+            # a diverging step makes infs and NaNs: _train_step names it
+            with np.errstate(all="ignore"):
+                s, cache = forward_batch(model, e_enr[batch],
+                                         e_tst_asv[batch], e_tst_cm[batch],
+                                         works)
+                loss, grads = _batch_loss_and_grads(model, cfg, s, cache,
+                                                    codes[batch])
+                try:
+                    _train_step(model, optimizer, params, grads, loss,
+                                "joint training", epoch, number)
+                except TrainingDiverged as exc:
+                    exc.log = log
+                    raise
             epoch_losses.append(loss)
         # [0]: the dev tape is not kept past the call
         report = min_adcf(forward_batch(model, *dev_embeddings)[0],
@@ -629,24 +632,27 @@ def pretrain_heads(cfg, asv_store, cm_store, trials, embeddings=None):
             rng.shuffle(order)
             chunks = np.array_split(order, n_batches)
             for number, chunk in enumerate(chunks, 1):
-                loss, grads = _pretrain_loss_and_grads(
-                    model, branch, *(e[chunk] for e in embeddings),
-                    y[chunk].astype(np.float64), work)
-                _train_step(model, optimizer, params, grads, loss,
-                            f"{branch.upper()} pretraining", epoch, number)
+                with np.errstate(all="ignore"):  # as in train_joint
+                    loss, grads = _pretrain_loss_and_grads(
+                        model, branch, *(e[chunk] for e in embeddings),
+                        y[chunk].astype(np.float64), work)
+                    _train_step(model, optimizer, params, grads, loss,
+                                f"{branch.upper()} pretraining", epoch,
+                                number)
     return model
 
 
 def tune_fusion_rho(llr_asv, llr_cm, labels, cost_model, grid=None):
     """Pick the nonlinear fusion weight minimizing dev min a-DCF on a grid."""
-    from .decision import fuse_nonlinear
-
     if grid is None:
         grid = np.linspace(0.01, 0.99, 99)
+    a = np.asarray(llr_asv, dtype=np.float64)
+    b = np.asarray(llr_cm, dtype=np.float64)
+    terms = _lse_terms(a, b)  # the same at every rho
     codes = label_codes(labels)
     best_rho, best_val = None, math.inf
     for rho in grid:
-        fused = fuse_nonlinear(llr_asv, llr_cm, float(rho))
+        fused = _fuse_nonlinear(a, b, float(rho), terms)
         val = min_adcf(fused, codes, cost_model).min_adcf
         if val < best_val:
             best_rho, best_val = float(rho), val

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -308,6 +309,30 @@ class TestEval:
         assert doc["min_threshold"] is None
         assert doc["rates_at_min"]["p_miss_tar"] == 1.0
 
+    def test_huge_scores_keep_the_threshold_between_them(self, tmp_path):
+        # 1.6e308 + 1.7e308 overflows, so the plain midpoint of the top two
+        # distinct scores is +inf; a threshold between them rejects the
+        # high spoof and accepts both targets, for an a-DCF of 0
+        scores = tmp_path / "scores.tsv"
+        fileio.write_scores(scores, [
+            ("e1", "t1", 1.7e308, TrialLabel.TARGET),
+            ("e2", "t2", 1.75e308, TrialLabel.TARGET),
+            ("e3", "t3", 1.0, TrialLabel.NONTARGET),
+            ("e4", "t4", -1.0, TrialLabel.NONTARGET),
+            ("e5", "t5", 1.6e308, TrialLabel.SPOOF),
+            ("e6", "t6", 0.5, TrialLabel.SPOOF)])
+        report = tmp_path / "report.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["eval", "--scores", str(scores),
+                         "--report", str(report)]) == 0
+        assert [str(w.message) for w in caught] == []
+        doc = json.loads(report.read_text(), parse_constant=reject_constant)
+        assert doc["min_adcf"] == 0.0
+        assert 1.6e308 < doc["min_threshold"] <= 1.7e308
+        assert doc["rates_at_min"] == {"p_miss_tar": 0.0, "p_fa_non": 0.0,
+                                       "p_fa_spf": 0.0}
+
     def test_custom_cost_flags(self, tmp_path):
         scores = tmp_path / "scores.tsv"
         write_worked_scores(scores)
@@ -491,6 +516,24 @@ class TestTrainCommand:
                    for line in log.read_text().splitlines()]
         assert [e["epoch"] for e in entries] == list(range(1, epoch))
         assert not (tmp_path / "ckpt.json").exists()
+
+    @pytest.mark.parametrize("init,lr,phase", [
+        ("random", "1e6", "joint training diverged at epoch "),
+        ("pretrained", "1e300", "ASV pretraining diverged at epoch ")])
+    def test_divergence_prints_no_warning(self, tmp_path, capsys, init, lr,
+                                          phase):
+        # the finite check names the divergence; numpy stays quiet before it
+        argv = make_train_sim(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([*argv, "--optimizer", "sgd", "--lr", lr,
+                       "--init", init, "--epochs", "4",
+                       "--out", str(tmp_path / "ckpt.json")])
+        assert rc == 1
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"sasv train: error: {phase}")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("epochs", ["-5", "-1"])
     def test_negative_epochs_is_one_line_error(self, tmp_path, capsys,

@@ -1,7 +1,10 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import brute_force_min_adcf, naive_adcf, random_three_class
 from sasv.core import CostModel, DEFAULT_COST_MODEL, TrialLabel
@@ -124,6 +127,88 @@ class TestAdcf:
         cands = candidate_thresholds([1.0, 2.0, 2.0, 5.0])
         assert cands[0] == -np.inf and cands[-1] == np.inf
         np.testing.assert_allclose(cands[1:-1], [1.5, 3.5])
+
+
+DBL_MAX = sys.float_info.max
+TIE_PRONE = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+             1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), -1.0,
+             DBL_MAX, np.nextafter(DBL_MAX, 0.0), -DBL_MAX, 1.6e308, 1.7e308,
+             -1.7e308, np.inf, -np.inf]
+scores_st = st.one_of(
+    st.sampled_from(TIE_PRONE),
+    st.floats(allow_nan=False, allow_infinity=True),
+    st.integers(-3, 3).map(float))
+
+
+def sweep_by_brute_force(scores, codes, cm, normalized):
+    """a-DCF at every candidate threshold by direct counting, combined in
+    the metric's own operation order so that the values match bit for bit."""
+    cands = candidate_thresholds(scores)
+    tar, non, spf = (scores[codes == c] for c in (0, 1, 2))
+    below = [np.array([np.count_nonzero(x < t) for t in cands])
+             for x in (tar, non, spf)]
+    values = (cm.c_miss_tar * cm.pi_tar * (below[0] / tar.size)
+              + cm.c_fa_non * cm.pi_non * (1.0 - below[1] / non.size)
+              + cm.c_fa_spf * cm.pi_spf * (1.0 - below[2] / spf.size))
+    if normalized:
+        values /= default_system_cost(cm)
+    return cands, values
+
+
+class TestDegenerateMidpoints:
+    """Every gap between distinct scores keeps a threshold inside it."""
+
+    def test_adjacent_doubles(self):
+        # (1 + nextafter(1)) / 2 rounds onto 1.0, which accepts the nontarget
+        rep = min_adcf([np.nextafter(1.0, 2.0), 1.0, 0.0],
+                       [TrialLabel.TARGET, TrialLabel.NONTARGET,
+                        TrialLabel.SPOOF], DEFAULT_COST_MODEL)
+        assert rep.min_adcf == 0.0
+        assert rep.min_threshold == np.nextafter(1.0, 2.0)
+
+    def test_minus_inf_score(self):
+        # the midpoint of -inf and 1.0 is -inf, which accepts everything
+        rep = min_adcf([1.0, -np.inf, -np.inf],
+                       [TrialLabel.TARGET, TrialLabel.NONTARGET,
+                        TrialLabel.SPOOF], DEFAULT_COST_MODEL)
+        assert rep.min_adcf == 0.0
+        assert rep.min_threshold == 1.0
+
+    def test_candidate_rule(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cands = candidate_thresholds(
+                [-np.inf, -DBL_MAX, 1.0, np.nextafter(1.0, 2.0), 1.6e308,
+                 1.7e308, np.inf])
+        assert caught == []
+        assert cands.tolist() == [-np.inf, -DBL_MAX, -DBL_MAX / 2,
+                                  np.nextafter(1.0, 2.0), 1.6e308 / 2,
+                                  1.6e308 / 2 + 1.7e308 / 2, np.inf, np.inf]
+
+    def test_plain_midpoints_keep_their_bits(self):
+        rng = np.random.default_rng(5)
+        x = np.unique(rng.normal(0.0, 3.0, 500))
+        np.testing.assert_array_equal(candidate_thresholds(x)[1:-1],
+                                      (x[:-1] + x[1:]) / 2.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(scores_st, st.sampled_from([0, 1, 2])),
+                    min_size=3, max_size=40),
+           st.booleans())
+    def test_sweep_matches_brute_force(self, rows, normalized):
+        rows += [(rows[0][0], 0), (rows[1][0], 1), (rows[2][0], 2)]
+        scores = np.array([s for s, _ in rows])
+        codes = np.array([c for _, c in rows], dtype=np.int8)
+        cands, values = sweep_by_brute_force(scores, codes,
+                                             DEFAULT_COST_MODEL, normalized)
+        uniq = np.unique(scores)
+        # candidate k+1 lies in (uniq[k], uniq[k+1]]
+        assert np.all((uniq[:-1] < cands[1:-1]) & (cands[1:-1] <= uniq[1:]))
+        rep = min_adcf(scores, codes, DEFAULT_COST_MODEL, normalized)
+        best = int(np.argmin(values))
+        assert rep.min_adcf == values[best]
+        assert rep.min_threshold == cands[best]
+        assert rep.rates_at_min == error_rates(scores, codes, cands[best])
 
 
 class TestDet:

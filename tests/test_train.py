@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import check_grad
-from sasv.core import DEFAULT_COST_MODEL, SPOOF, TARGET, TrialLabel, \
-    label_codes
+from sasv.core import DEFAULT_COST_MODEL, NONTARGET, SPOOF, TARGET, \
+    CostModel, TrialLabel, label_codes
 from sasv.decision import CalibrationParams, fuse_nonlinear
 from sasv.losses import bce_logits_mean
 from sasv.metrics import min_adcf
@@ -458,6 +458,36 @@ class TestTuneFusionRho:
                          DEFAULT_COST_MODEL).min_adcf for r in grid]
         assert val == pytest.approx(min(vals), abs=1e-15)
         assert 0.0 < rho < 1.0
+
+    @pytest.mark.parametrize("grid", [
+        None, [0.0, 0.4, 1.0], [1.0, 0.0], np.linspace(0.0, 1.0, 11)])
+    @pytest.mark.parametrize("cost_model", [
+        DEFAULT_COST_MODEL, CostModel(2.0, 1.0, 5.0, 0.6, 0.3, 0.1)])
+    def test_equals_the_fusion_loop_bit_for_bit(self, grid, cost_model):
+        rng = np.random.default_rng(11)
+        n = 150
+        llr_a = np.concatenate([rng.normal(3, 2, n), rng.normal(-3, 2, n),
+                                rng.normal(3, 2, n), [800.0, -800.0, 0.0]])
+        llr_c = np.concatenate([rng.normal(3, 2, n), rng.normal(3, 2, n),
+                                rng.normal(-3, 2, n), [-800.0, 800.0, 0.0]])
+        llr_c[:20] = llr_a[:20]  # ties between the two LLRs
+        codes = np.repeat(np.array([TARGET, NONTARGET, SPOOF],
+                                   dtype=np.int8), n + 1)
+        loop_grid = np.linspace(0.01, 0.99, 99) if grid is None else grid
+        best = (None, math.inf)
+        for r in loop_grid:
+            val = min_adcf(fuse_nonlinear(llr_a, llr_c, float(r)), codes,
+                           cost_model).min_adcf
+            if val < best[1]:
+                best = (float(r), val)
+        assert tune_fusion_rho(llr_a, llr_c, codes, cost_model,
+                               grid=grid) == best
+
+    def test_grid_outside_unit_interval_is_rejected(self):
+        labels = [TrialLabel.TARGET, TrialLabel.NONTARGET, TrialLabel.SPOOF]
+        with pytest.raises(ValueError, match="rho_tilde"):
+            tune_fusion_rho([3.0, -3.0, 3.0], [3.0, 3.0, -3.0], labels,
+                            DEFAULT_COST_MODEL, grid=[0.5, 1.5])
 
     def test_custom_grid(self):
         labels = [TrialLabel.TARGET, TrialLabel.NONTARGET, TrialLabel.SPOOF]
