@@ -173,17 +173,52 @@ def derive_beta(cm):
 DEFAULT_COST_MODEL = CostModel()
 
 
-class EmbeddingStore:
-    """Named fixed-dimension real vectors for enrollment/test utterances."""
+def first_invalid_row(ids, rows):
+    """(k, reason) for the first row `EmbeddingStore.add` would reject, or
+    None: its id repeats an earlier one or, failing that, its vector has a
+    non-finite entry."""
+    finite = np.isfinite(rows).all(axis=1)
+    seen = set()
+    for k, utt_id in enumerate(ids):
+        if utt_id in seen:
+            return k, f"duplicate utterance id {utt_id!r}"
+        if not finite[k]:
+            return k, f"vector for {utt_id!r} has non-finite entries"
+        seen.add(utt_id)
+    return None
 
-    def __init__(self, dim):
+
+class EmbeddingStore:
+    """Named fixed-dimension real vectors for enrollment/test utterances.
+
+    `vectors` is one (n, dim) float64 matrix whose row k holds the vector
+    of ids()[k]; an id -> row index finds the rows.
+    """
+
+    def __init__(self, dim, ids=(), vectors=None):
+        """An empty store, or vectors[k] (an (n, dim) array) under ids[k].
+
+        The rows are checked once; the first bad one raises the ValueError
+        `add` would have raised for it.
+        """
         if not isinstance(dim, int) or dim <= 0:
             raise ValueError(f"dim must be a positive integer, got {dim!r}")
         self.dim = dim
-        self._entries = {}
+        ids = list(ids)
+        rows = np.empty((0, dim)) if vectors is None else \
+            np.asarray(vectors, dtype=np.float64)
+        if rows.shape != (len(ids), dim):
+            raise ValueError(f"vectors have shape {rows.shape}, expected "
+                             f"({len(ids)}, {dim})")
+        self.vectors = rows
+        self._index = dict(zip(ids, range(len(ids))))
+        if len(self._index) < len(ids) or not np.isfinite(rows).all():
+            raise ValueError(first_invalid_row(ids, rows)[1])
 
     def add(self, utt_id, vector):
-        if utt_id in self._entries:
+        """Append one vector; this copies the matrix, so build a large store
+        in one step."""
+        if utt_id in self._index:
             raise ValueError(f"duplicate utterance id {utt_id!r}")
         vec = np.asarray(vector, dtype=np.float64)
         if vec.shape != (self.dim,):
@@ -191,27 +226,29 @@ class EmbeddingStore:
                              f"expected ({self.dim},)")
         if not np.all(np.isfinite(vec)):
             raise ValueError(f"vector for {utt_id!r} has non-finite entries")
-        self._entries[utt_id] = vec
+        self._index[utt_id] = len(self.vectors)
+        self.vectors = np.concatenate((self.vectors, vec[None]))
 
     def get(self, utt_id):
         try:
-            return self._entries[utt_id]
+            return self.vectors[self._index[utt_id]]
         except KeyError:
             raise KeyError(f"unknown utterance id {utt_id!r}") from None
 
     def __contains__(self, utt_id):
-        return utt_id in self._entries
+        return utt_id in self._index
 
     def __len__(self):
-        return len(self._entries)
+        return len(self._index)
 
     def ids(self):
-        return list(self._entries)
-
-    def items(self):
-        return self._entries.items()
+        return list(self._index)
 
     def matrix(self, utt_ids):
-        """Stack the vectors for the given ids into an (n, dim) array."""
-        return np.stack([self.get(i) for i in utt_ids]) if utt_ids else \
-            np.empty((0, self.dim))
+        """The vectors for the given ids as an (n, dim) array, in order."""
+        try:
+            rows = np.fromiter(map(self._index.__getitem__, utt_ids),
+                               np.intp)
+        except KeyError as exc:
+            raise KeyError(f"unknown utterance id {exc.args[0]!r}") from None
+        return self.vectors[rows]

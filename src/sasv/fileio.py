@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 
 from .core import CODE_OF_TEXT, LABELS, EmbeddingStore, ScoreTable, \
-    TrialLabel, TrialRecord
+    TrialLabel, TrialRecord, first_invalid_row
 
 EMBEDDING_MAGIC = b"SASVEMB1"
 EMBEDDING_VERSION = 1
@@ -196,51 +196,70 @@ def read_scores(path):
 def write_embeddings(path, store):
     parts = [EMBEDDING_MAGIC,
              struct.pack("<BII", EMBEDDING_VERSION, len(store), store.dim)]
-    for utt_id, vec in store.items():
+    for utt_id, values in zip(store.ids(), store.vectors.astype("<f4")):
         id_bytes = utt_id.encode("utf-8")
         if len(id_bytes) > 0xFFFF:
             raise FormatError(f"utterance id too long: {utt_id!r}")
-        parts.append(struct.pack("<H", len(id_bytes)))
-        parts.append(id_bytes)
-        parts.append(vec.astype("<f4").tobytes())
+        parts += (struct.pack("<H", len(id_bytes)), id_bytes,
+                  values.tobytes())
     _atomic_write(path, b"".join(parts), mode="wb")
 
 
 def read_embeddings(path):
+    """Parse an embedding file into an EmbeddingStore.
+
+    One loop walks the records for their ids and the byte ranges of their
+    values; one frombuffer then reads every value.  The first fault in file
+    order raises FormatError: a truncated or non-UTF-8 record, a repeated
+    id or a non-finite value (entry k), or trailing bytes.
+    """
     with open(path, "rb") as f:
         data = f.read()
-    pos = 0
-
-    def take(n, what):
-        nonlocal pos
-        if pos + n > len(data):
-            raise FormatError(f"{path}: truncated while reading {what}")
-        chunk = data[pos:pos + n]
-        pos += n
-        return chunk
-
-    if take(8, "magic") != EMBEDDING_MAGIC:
+    if data[:8] != EMBEDDING_MAGIC:
+        if len(data) < 8:
+            raise FormatError(f"{path}: truncated while reading magic")
         raise FormatError(f"{path}: bad magic, not an embedding file")
-    version, count, dim = struct.unpack("<BII", take(9, "header"))
+    if len(data) < 17:
+        raise FormatError(f"{path}: truncated while reading header")
+    version, count, dim = struct.unpack_from("<BII", data, 8)
     if version != EMBEDDING_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
     if dim <= 0:
         raise FormatError(f"{path}: nonpositive dimension {dim}")
-    store = EmbeddingStore(dim)
+    size, end = 4 * dim, len(data)
+    view = memoryview(data)
+    ids, ranges, fault = [], [], None
+    pos = 17
     for k in range(count):
-        (id_len,) = struct.unpack("<H", take(2, f"entry {k} id length"))
+        if pos + 2 > end:
+            fault = f"truncated while reading entry {k} id length"
+            break
+        id_end = pos + 2 + int.from_bytes(data[pos:pos + 2], "little")
+        if id_end > end:
+            fault = f"truncated while reading entry {k} id"
+            break
         try:
-            utt_id = take(id_len, f"entry {k} id").decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: entry {k} id is not UTF-8") from exc
-        values = np.frombuffer(take(4 * dim, f"entry {k} values"),
-                               dtype="<f4").astype(np.float64)
-        try:
-            store.add(utt_id, values)
-        except ValueError as exc:
-            raise FormatError(f"{path}: entry {k}: {exc}") from exc
-    if pos != len(data):
-        raise FormatError(f"{path}: {len(data) - pos} trailing bytes")
+            utt_id = data[pos + 2:id_end].decode("utf-8")
+        except UnicodeDecodeError:
+            fault = f"entry {k} id is not UTF-8"
+            break
+        pos = id_end + size
+        if pos > end:
+            fault = f"truncated while reading entry {k} values"
+            break
+        ids.append(utt_id)
+        ranges.append(view[id_end:pos])
+    values = np.frombuffer(b"".join(ranges), "<f4").reshape(-1, dim)
+    # a repeated id or non-finite value before the fault comes first
+    try:
+        store = EmbeddingStore(dim, ids, values.astype(np.float64))
+    except ValueError as exc:
+        k = first_invalid_row(ids, values)[0]
+        raise FormatError(f"{path}: entry {k}: {exc}") from exc
+    if fault is not None:
+        raise FormatError(f"{path}: {fault}")
+    if pos != end:
+        raise FormatError(f"{path}: {end - pos} trailing bytes")
     return store
 
 

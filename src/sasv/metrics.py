@@ -209,5 +209,17 @@ def eer(pos_scores, neg_scores):
     denom = (p_miss[j] - p_miss[i]) - (p_fa[j] - p_fa[i])
     t = diff[i] / -denom if denom != 0 else 0.0
     value = p_fa[i] + t * (p_fa[j] - p_fa[i])
-    tau = taus[i] + t * (taus[j] - taus[i])
-    return float(value), float(tau)
+    return float(value), _between(float(taus[i]), float(taus[j]), float(t))
+
+
+def _between(hi, lo, t):
+    """The threshold t of the way from hi down to lo (0 < t < 1).
+
+    hi + t (lo - hi) where that is finite; else, for vertices far apart on
+    either side of zero, (1 - t) hi + t lo, kept within [lo, hi].  Python
+    floats overflow to inf without a warning.
+    """
+    tau = hi + t * (lo - hi)
+    if math.isfinite(tau):
+        return tau
+    return min(max((1.0 - t) * hi + t * lo, lo), hi)

@@ -113,8 +113,8 @@ class MlpWork:
     """Buffers for `mlp_forward`/`mlp_backward` on up to `rows` inputs.
 
     One set holds the pre-activation scratch, every layer's output, the
-    deltas, the activation slope, the input gradient and the weight and
-    bias gradients of one MLP shape.  A call on n inputs works in views of
+    deltas, the activation slope and the weight and bias gradients of one
+    MLP shape.  A call on n inputs works in views of
     the first n rows, so one set serves every batch of a training phase.
     What a call returns (scores, tape, gradients) lives in these buffers and
     stays valid until the next call with the same work.
@@ -130,7 +130,6 @@ class MlpWork:
         # C-contiguous for every hidden width k
         self.pre = np.empty(rows * hidden)
         self.slope = np.empty(rows * hidden)
-        self.input_grad = np.empty((rows, params.input_dim))
         self.grad_w = [np.empty_like(w) for w in params.weights]
         self.grad_b = [np.empty_like(b) for b in params.biases]
 
@@ -181,12 +180,13 @@ def mlp_forward(params, x, work=None):
     return (float(score[0]) if single else score), (posts, single)
 
 
-def mlp_backward(params, tape, upstream, work=None):
+def mlp_backward(params, tape, upstream, work=None, input_grad=True):
     """Gradients of sum(upstream * score) w.r.t. params and input.
 
     Each activation's derivative is computed from its output on the tape.
-    The gradients are written into `work` (None builds a fresh one) and
-    alias its buffers until the next call with the same work.
+    The parameter gradients are written into `work` (None builds a fresh
+    one) and alias its buffers until the next call with the same work.
+    The input gradient is a fresh array, or None if input_grad is false.
     """
     posts, single = tape
     if len(posts) != len(params.weights):
@@ -207,12 +207,12 @@ def mlp_backward(params, tape, upstream, work=None):
                               out=work.deltas[i - 1][:n])
             slope = _ACTIVATIONS[params.activations[i - 1]][1]
             delta *= slope(posts[i], _rows(work.slope, n, delta.shape[1]))
-    input_grad = np.matmul(delta, params.weights[0],
-                           out=work.input_grad[:n])
-    if single:
-        input_grad = input_grad[0]
-    return MlpParams(list(work.grad_w), list(work.grad_b),
-                     list(params.activations)), input_grad
+    grads = MlpParams(list(work.grad_w), list(work.grad_b),
+                      list(params.activations))
+    if not input_grad:
+        return grads, None
+    grad_x = delta @ params.weights[0]
+    return grads, (grad_x[0] if single else grad_x)
 
 
 def cosine_score(e1, e2):

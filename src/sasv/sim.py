@@ -20,6 +20,25 @@ DEFAULT_CLASS_MEANS = {
 }
 
 
+def _box_muller(u, d):
+    """(rows, d) standard normals from rows of 2 ceil(d/2) uniforms.
+
+    Each row is split into halves u1 and u2; the normals are
+    r cos(theta) then r sin(theta), r = sqrt(-2 log(1 - u1)) and
+    theta = 2 pi u2, cut to d.
+    """
+    pairs = (d + 1) // 2
+    r = np.sqrt(-2.0 * np.log1p(-u[:, :pairs]))
+    theta = 2.0 * math.pi * u[:, pairs:]
+    return np.concatenate((r * np.cos(theta), r * np.sin(theta)),
+                          axis=1)[:, :d]
+
+
+def _uniform_count(*dims):
+    """Uniforms `_box_muller` takes for vectors of each of dims normals."""
+    return sum(2 * ((d + 1) // 2) for d in dims)
+
+
 def gaussian_draws(rng, n):
     """n standard normal draws via Box-Muller on counter-based uniforms.
 
@@ -28,13 +47,7 @@ def gaussian_draws(rng, n):
     differently in the last bit on different CPUs (its AVX-512 and AVX2
     loops do).
     """
-    pairs = (n + 1) // 2
-    u1 = rng.random(pairs)
-    u2 = rng.random(pairs)
-    r = np.sqrt(-2.0 * np.log1p(-u1))
-    theta = 2.0 * math.pi * u2
-    z = np.concatenate((r * np.cos(theta), r * np.sin(theta)))
-    return z[:n]
+    return _box_muller(rng.random((1, _uniform_count(n))), n)[0]
 
 
 def make_rng(seed):
@@ -155,62 +168,88 @@ def _unit(v):
     return v / np.linalg.norm(v)
 
 
+def _unit_rows(v):
+    """Each row of v over its own np.linalg.norm."""
+    return v / np.array([np.linalg.norm(row) for row in v]).reshape(-1, 1)
+
+
+def _normal_blocks(u, *dims):
+    """Split rows of uniforms into one (rows, d) normal block per d in dims.
+
+    Block d takes the next 2 ceil(d/2) uniforms of each row, so a row holds
+    the draws that one `gaussian_draws` call per d would make in turn.
+    """
+    blocks, start = [], 0
+    for d in dims:
+        stop = start + _uniform_count(d)
+        blocks.append(_box_muller(u[:, start:stop], d))
+        start = stop
+    return blocks
+
+
 def simulate_embeddings(cfg):
-    """Build (asv EmbeddingStore, cm EmbeddingStore, protocol trials)."""
+    """Build (asv EmbeddingStore, cm EmbeddingStore, protocol trials).
+
+    Draw order from the Philox stream: the speaker means, the bonafide CM
+    mean, the spoof CM direction and the enrolment vectors; then per target
+    its ASV and CM draws; per nontarget the impostor speaker (rng.integers)
+    and its ASV and CM draws; per spoof its ASV "away" direction, ASV and
+    CM draws.  Each class is drawn as one matrix of uniforms (the
+    nontargets row by row, since their integer draws interleave), and each
+    row's draws are those of one `gaussian_draws` call per vector.
+    """
     rng = make_rng(cfg.seed)
+    n_spk, d_asv, d_cm = cfg.n_speakers, cfg.d_asv, cfg.d_cm
+    noise = cfg.sigma_w
 
-    def draws(shape):
-        return gaussian_draws(rng, int(np.prod(shape))).reshape(shape)
+    def normals(rows, *dims):
+        return _normal_blocks(rng.random((rows, _uniform_count(*dims))),
+                              *dims)
 
-    spk_means = np.stack([_unit(draws((cfg.d_asv,)))
-                          for _ in range(cfg.n_speakers)])
-    bon_cm_mean = _unit(draws((cfg.d_cm,)))
+    spk_means = _unit_rows(*normals(n_spk, d_asv))
+    bon_cm_mean = _unit(gaussian_draws(rng, d_cm))
     # displace spoofs along a direction orthogonal to the bonafide mean
-    raw = draws((cfg.d_cm,))
+    raw = gaussian_draws(rng, d_cm)
     ortho = _unit(raw - np.dot(raw, bon_cm_mean) * bon_cm_mean)
     spf_cm_mean = bon_cm_mean - cfg.cm_margin * ortho
+    (enrol,) = normals(n_spk, d_asv)
+    asv_rows, cm_rows = [spk_means + noise * enrol], []
 
-    asv_store = EmbeddingStore(cfg.d_asv)
-    cm_store = EmbeddingStore(cfg.d_cm)
-    for i in range(cfg.n_speakers):
-        asv_store.add(f"spk{i:03d}-enr",
-                      spk_means[i] + cfg.sigma_w * draws((cfg.d_asv,)))
+    # trial t of each class is enrolled to speaker t mod n_speakers
+    tar_spk = np.arange(cfg.n_target) % n_spk
+    z_asv, z_cm = normals(cfg.n_target, d_asv, d_cm)
+    asv_rows.append(spk_means[tar_spk] + noise * z_asv)
+    cm_rows.append(bon_cm_mean + noise * z_cm)
 
-    trials = []
-    counter = 0
-
-    def add_test(asv_vec, cm_vec):
-        nonlocal counter
-        test_id = f"utt{counter:06d}"
-        counter += 1
-        asv_store.add(test_id, asv_vec)
-        cm_store.add(test_id, cm_vec)
-        return test_id
-
-    def speaker_of(k):
-        return int(k) % cfg.n_speakers
-
-    for t in range(cfg.n_target):
-        i = speaker_of(t)
-        test_id = add_test(spk_means[i] + cfg.sigma_w * draws((cfg.d_asv,)),
-                           bon_cm_mean + cfg.sigma_w * draws((cfg.d_cm,)))
-        trials.append(TrialRecord(f"spk{i:03d}-enr", test_id,
-                                  TrialLabel.TARGET))
+    non_spk = np.arange(cfg.n_nontarget) % n_spk
+    impostor = np.empty(cfg.n_nontarget, np.intp)
+    u = np.empty((cfg.n_nontarget, _uniform_count(d_asv, d_cm)))
     for t in range(cfg.n_nontarget):
-        i = speaker_of(t)
-        j = speaker_of(i + 1 + int(rng.integers(cfg.n_speakers - 1)))
-        test_id = add_test(spk_means[j] + cfg.sigma_w * draws((cfg.d_asv,)),
-                           bon_cm_mean + cfg.sigma_w * draws((cfg.d_cm,)))
-        trials.append(TrialRecord(f"spk{i:03d}-enr", test_id,
-                                  TrialLabel.NONTARGET))
-    for t in range(cfg.n_spoof):
-        i = speaker_of(t)
-        away = _unit(draws((cfg.d_asv,)))
-        base = cfg.delta * spk_means[i] + (1.0 - cfg.delta) * away
-        test_id = add_test(base + cfg.sigma_w * draws((cfg.d_asv,)),
-                           spf_cm_mean + cfg.sigma_w * draws((cfg.d_cm,)))
-        trials.append(TrialRecord(f"spk{i:03d}-enr", test_id,
-                                  TrialLabel.SPOOF))
+        impostor[t] = rng.integers(n_spk - 1)
+        rng.random(out=u[t])
+    z_asv, z_cm = _normal_blocks(u, d_asv, d_cm)
+    asv_rows.append(spk_means[(non_spk + 1 + impostor) % n_spk]
+                    + noise * z_asv)
+    cm_rows.append(bon_cm_mean + noise * z_cm)
+
+    spf_spk = np.arange(cfg.n_spoof) % n_spk
+    z_away, z_asv, z_cm = normals(cfg.n_spoof, d_asv, d_asv, d_cm)
+    base = cfg.delta * spk_means[spf_spk] \
+        + (1.0 - cfg.delta) * _unit_rows(z_away)
+    asv_rows.append(base + noise * z_asv)
+    cm_rows.append(spf_cm_mean + noise * z_cm)
+
+    enrol_ids = [f"spk{i:03d}-enr" for i in range(n_spk)]
+    speakers = np.concatenate((tar_spk, non_spk, spf_spk)).tolist()
+    labels = ([TrialLabel.TARGET] * cfg.n_target
+              + [TrialLabel.NONTARGET] * cfg.n_nontarget
+              + [TrialLabel.SPOOF] * cfg.n_spoof)
+    test_ids = [f"utt{k:06d}" for k in range(len(labels))]
+    trials = [TrialRecord(enrol_ids[i], test_id, label)
+              for i, test_id, label in zip(speakers, test_ids, labels)]
+    asv_store = EmbeddingStore(d_asv, enrol_ids + test_ids,
+                               np.concatenate(asv_rows))
+    cm_store = EmbeddingStore(d_cm, test_ids, np.concatenate(cm_rows))
     return asv_store, cm_store, trials
 
 

@@ -1,8 +1,15 @@
-"""Shared test helpers: finite differences and brute-force metric oracles."""
+"""Shared test helpers: finite differences, brute-force metric oracles and
+the per-trial embedding simulator and per-record embedding reader that the
+bulk ones replaced."""
+
+import math
+import struct
 
 import numpy as np
 
 from sasv.core import TrialLabel
+from sasv.fileio import EMBEDDING_MAGIC, EMBEDDING_VERSION, FormatError
+from sasv.sim import make_rng
 
 
 def central_diff(f, x, h=1e-6):
@@ -69,3 +76,98 @@ def random_three_class(rng, n_max=300):
     labels = ([TrialLabel.TARGET] * n_tar + [TrialLabel.NONTARGET] * n_non
               + [TrialLabel.SPOOF] * n_spf)
     return scores, labels
+
+
+def per_trial_simulate_embeddings(cfg):
+    """One Box-Muller call per vector, as simulate_embeddings once drew them.
+
+    Returns (asv {id: vector}, cm {id: vector}, [(enroll, test, label)]).
+    """
+    rng = make_rng(cfg.seed)
+
+    def draws(n):
+        pairs = (n + 1) // 2
+        u1 = rng.random(pairs)
+        u2 = rng.random(pairs)
+        r = np.sqrt(-2.0 * np.log1p(-u1))
+        theta = 2.0 * math.pi * u2
+        return np.concatenate((r * np.cos(theta), r * np.sin(theta)))[:n]
+
+    def unit(v):
+        return v / np.linalg.norm(v)
+
+    n, noise = cfg.n_speakers, cfg.sigma_w
+    spk_means = [unit(draws(cfg.d_asv)) for _ in range(n)]
+    bon_cm_mean = unit(draws(cfg.d_cm))
+    raw = draws(cfg.d_cm)
+    spf_cm_mean = bon_cm_mean - cfg.cm_margin * unit(
+        raw - np.dot(raw, bon_cm_mean) * bon_cm_mean)
+    asv = {f"spk{i:03d}-enr": spk_means[i] + noise * draws(cfg.d_asv)
+           for i in range(n)}
+    cm, trials = {}, []
+
+    def add(i, label, asv_vec, cm_vec):
+        test_id = f"utt{len(trials):06d}"
+        asv[test_id], cm[test_id] = asv_vec, cm_vec
+        trials.append((f"spk{i:03d}-enr", test_id, label))
+
+    for t in range(cfg.n_target):
+        add(t % n, TrialLabel.TARGET,
+            spk_means[t % n] + noise * draws(cfg.d_asv),
+            bon_cm_mean + noise * draws(cfg.d_cm))
+    for t in range(cfg.n_nontarget):
+        j = (t % n + 1 + int(rng.integers(n - 1))) % n
+        add(t % n, TrialLabel.NONTARGET,
+            spk_means[j] + noise * draws(cfg.d_asv),
+            bon_cm_mean + noise * draws(cfg.d_cm))
+    for t in range(cfg.n_spoof):
+        away = unit(draws(cfg.d_asv))
+        base = cfg.delta * spk_means[t % n] + (1.0 - cfg.delta) * away
+        add(t % n, TrialLabel.SPOOF, base + noise * draws(cfg.d_asv),
+            spf_cm_mean + noise * draws(cfg.d_cm))
+    return asv, cm, trials
+
+
+def per_record_read_embeddings(path):
+    """Read an embedding file one record at a time; (dim, {id: vector}).
+
+    Raises FormatError for the first fault in file order, with the message
+    read_embeddings gives for it.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    pos = 0
+
+    def take(n, what):
+        nonlocal pos
+        if pos + n > len(data):
+            raise FormatError(f"{path}: truncated while reading {what}")
+        pos += n
+        return data[pos - n:pos]
+
+    if take(8, "magic") != EMBEDDING_MAGIC:
+        raise FormatError(f"{path}: bad magic, not an embedding file")
+    version, count, dim = struct.unpack("<BII", take(9, "header"))
+    if version != EMBEDDING_VERSION:
+        raise FormatError(f"{path}: unsupported version {version}")
+    if dim <= 0:
+        raise FormatError(f"{path}: nonpositive dimension {dim}")
+    vectors = {}
+    for k in range(count):
+        (id_len,) = struct.unpack("<H", take(2, f"entry {k} id length"))
+        try:
+            utt_id = take(id_len, f"entry {k} id").decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: entry {k} id is not UTF-8") from None
+        values = np.frombuffer(take(4 * dim, f"entry {k} values"),
+                               dtype="<f4").astype(np.float64)
+        if utt_id in vectors:
+            raise FormatError(f"{path}: entry {k}: duplicate utterance id "
+                              f"{utt_id!r}")
+        if not np.all(np.isfinite(values)):
+            raise FormatError(f"{path}: entry {k}: vector for {utt_id!r} "
+                              "has non-finite entries")
+        vectors[utt_id] = values
+    if pos != len(data):
+        raise FormatError(f"{path}: {len(data) - pos} trailing bytes")
+    return dim, vectors

@@ -333,6 +333,27 @@ class TestEval:
         assert doc["rates_at_min"] == {"p_miss_tar": 0.0, "p_fa_non": 0.0,
                                        "p_fa_spf": 0.0}
 
+    def test_eer_threshold_between_far_apart_scores(self, tmp_path):
+        # the SV EER crossing lies between thresholds 1.6e308 and -1.6e308,
+        # whose difference overflows
+        scores = tmp_path / "scores.tsv"
+        fileio.write_scores(scores, [
+            ("e1", "t1", 1.6e308, TrialLabel.TARGET),
+            ("e2", "t2", -1.6e308, TrialLabel.TARGET),
+            ("e3", "t3", -1.6e308, TrialLabel.NONTARGET),
+            ("e4", "t4", -1.7e308, TrialLabel.NONTARGET),
+            ("e5", "t5", 0.0, TrialLabel.SPOOF)])
+        report = tmp_path / "report.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["eval", "--scores", str(scores),
+                         "--report", str(report)]) == 0
+        assert [str(w.message) for w in caught] == []
+        doc = json.loads(report.read_text(), parse_constant=reject_constant)
+        assert doc["sv_eer"] == 0.25
+        assert -1.6e308 <= doc["sv_eer_threshold"] <= 1.6e308
+        assert 0.0 <= doc["spf_eer_threshold"] <= 1.6e308
+
     def test_custom_cost_flags(self, tmp_path):
         scores = tmp_path / "scores.tsv"
         write_worked_scores(scores)

@@ -135,3 +135,36 @@ class TestEmbeddingStore:
             EmbeddingStore(0)
         with pytest.raises(ValueError):
             EmbeddingStore(2.5)
+
+    def test_bulk_store_is_the_added_one(self):
+        vectors = np.arange(6.0).reshape(3, 2)
+        bulk = EmbeddingStore(2, ["a", "b", "c"], vectors)
+        added = EmbeddingStore(2)
+        for utt_id, vec in zip("abc", vectors):
+            added.add(utt_id, vec)
+        for store in (bulk, added):
+            assert store.ids() == ["a", "b", "c"] and len(store) == 3
+            np.testing.assert_array_equal(store.vectors, vectors)
+            np.testing.assert_array_equal(store.get("b"), [2.0, 3.0])
+            np.testing.assert_array_equal(store.matrix(["c", "a"]),
+                                          [[4.0, 5.0], [0.0, 1.0]])
+        bulk.add("d", [6.0, 7.0])
+        np.testing.assert_array_equal(bulk.matrix(["d", "a"]),
+                                      [[6.0, 7.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("ids,vectors,message", [
+        (["a", "b", "a"], [[0, 1], [2, math.inf], [4, 5]],
+         "vector for 'b' has non-finite entries"),
+        (["a", "a", "b"], [[0, 1], [2, 3], [math.nan, 5]],
+         "duplicate utterance id 'a'"),
+        (["a", "b"], [[0, 1]], r"vectors have shape \(1, 2\), expected "
+                               r"\(2, 2\)"),
+    ])
+    def test_bulk_store_rejects_first_bad_row(self, ids, vectors, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            EmbeddingStore(2, ids, np.array(vectors, dtype=np.float64))
+
+    def test_matrix_unknown_id(self):
+        store = EmbeddingStore(2, ["a"], [[0.0, 1.0]])
+        with pytest.raises(KeyError, match="unknown utterance id 'z'"):
+            store.matrix(["a", "z"])

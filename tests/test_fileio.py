@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from conftest import per_record_read_embeddings
+from hypothesis import given, settings, strategies as st
 
 from sasv import fileio
 from sasv.core import EmbeddingStore, TrialLabel, TrialRecord
@@ -187,6 +189,70 @@ class TestEmbeddings:
             bad.write_bytes(data[:cut])
             with pytest.raises(FormatError):
                 read_embeddings(bad)
+
+
+    def test_earlier_bad_entry_is_reported_before_truncation(self,
+                                                              tmp_path):
+        # entry 1 repeats entry 0's id, and entry 2 is cut short
+        path = tmp_path / "emb.bin"
+        record = struct.pack("<H", 1) + b"u" + struct.pack("<2f", 0.0, 1.0)
+        path.write_bytes(b"SASVEMB1" + struct.pack("<BII", 1, 3, 2)
+                         + record * 2 + record[:-1])
+        with pytest.raises(FormatError,
+                           match="entry 1: duplicate utterance id 'u'$"):
+            read_embeddings(path)
+
+
+@st.composite
+def embedding_files(draw):
+    """Embedding file bytes, well formed or not: records with repeated,
+    empty or non-UTF-8 ids and non-finite values, then maybe a cut, a
+    changed byte or extra bytes."""
+    dim = draw(st.integers(1, 3))
+    records = draw(st.lists(st.tuples(
+        st.one_of(st.text("ab\xe9", max_size=3).map(str.encode),
+                  st.binary(max_size=3)),
+        st.lists(st.floats(width=32), min_size=dim, max_size=dim)),
+        max_size=5))
+    data = b"SASVEMB1" + struct.pack("<BII", 1, len(records), dim)
+    for id_bytes, values in records:
+        data += struct.pack("<H", len(id_bytes)) + id_bytes \
+            + struct.pack(f"<{dim}f", *values)
+    change = draw(st.sampled_from(["none", "cut", "byte", "extra"]))
+    if change == "cut":
+        data = data[:draw(st.integers(0, len(data)))]
+    elif change == "byte":
+        at = draw(st.integers(0, len(data) - 1))
+        data = data[:at] + bytes([draw(st.integers(0, 255))]) \
+            + data[at + 1:]
+    elif change == "extra":
+        data += draw(st.binary(min_size=1, max_size=6))
+    return data
+
+
+@pytest.fixture(scope="module")
+def emb_work(tmp_path_factory):
+    return tmp_path_factory.mktemp("embeddings")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=embedding_files())
+def test_bulk_reader_matches_per_record_reader(emb_work, data):
+    path = emb_work / "emb.bin"
+    path.write_bytes(data)
+    try:
+        want = per_record_read_embeddings(path)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as got:
+            read_embeddings(path)
+        assert str(got.value) == str(exc)
+        return
+    store = read_embeddings(path)
+    dim, vectors = want
+    assert store.dim == dim and store.ids() == list(vectors)
+    assert np.array_equal(
+        store.vectors.view(np.uint64),
+        np.array(list(vectors.values())).reshape(-1, dim).view(np.uint64))
 
 
 class TestCheckpoint:

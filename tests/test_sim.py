@@ -1,8 +1,14 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
+from conftest import per_trial_simulate_embeddings
+from hypothesis import given, settings, strategies as st
+from test_golden import FLOAT_KERNELS, float_kernel_bytes
 
+from sasv.cli import main
 from sasv.core import DEFAULT_COST_MODEL, TrialLabel
 from sasv.decision import FusionConfig, bayes_accept, fuse
 from sasv.nn import cosine_score
@@ -138,6 +144,76 @@ class TestEmbeddingSim:
             EmbeddingSimConfig(sigma_w=0.0)
         with pytest.raises(ValueError):
             EmbeddingSimConfig(d_asv=1)
+
+
+# sha256 of `simulate --mode embeddings` outputs, taken from the per-trial
+# simulator (per_trial_simulate_embeddings): (config, seed) -> digests of
+# asv_emb.bin, cm_emb.bin and protocol.tsv
+SIM_GOLDEN = [
+    ({"n_speakers": 20, "d_asv": 16, "d_cm": 8, "sigma_w": 0.1,
+      "delta": 1.0, "cm_margin": 2.0, "n_target": 2000, "n_nontarget": 2000,
+      "n_spoof": 2000}, 1, (
+        "fec009463d2e4a392ee8fad169b9140abb2eaba610facf7afc8796b17b104f1e",
+        "98263e911c5d93233243ee8e7dd8b5720e2e83a029a93bcbcdff951c5ac4aaa8",
+        "eaac728b61dff024e353336ccf1f19941e49c8178eabb80619a2e08862f3b04b")),
+    # odd dimensions: the last Box-Muller pair of each vector is cut
+    ({"n_speakers": 5, "d_asv": 7, "d_cm": 3, "delta": 0.3, "n_target": 13,
+      "n_nontarget": 11, "n_spoof": 9}, 3, (
+        "2e76a6b23237faec04d4b6a81b23b34d21e04bccb9bc8f854296807b4f1c3ca5",
+        "ca0afcc088684fd115f8a7406b683a89fe82986d2454b6a4a14f32e6ed22bf80",
+        "6fb05ee17f5893e721484223ab20e2987349daf6f144d17f241d462ed79f2e24")),
+    # no nontargets; spoofs point away from their speaker
+    ({"n_speakers": 2, "delta": 0.0, "n_target": 10, "n_nontarget": 0,
+      "n_spoof": 6}, 1, (
+        "8151d9ed16836cb852989bd11105c438810c6b56ba91de20efa3c00631cff2c1",
+        "fef754709a06698429e78e3092b2793dc13a5b72b55ac30a772676a23c69cb1c",
+        "b6c24f6f3aa771d89b3a0bb38a13560b12f3369ad6d5f2abae00aa356a0f5e46")),
+]
+
+
+@pytest.mark.parametrize("config,seed,golden", SIM_GOLDEN)
+def test_simulated_embedding_files_are_pinned(tmp_path, config, seed,
+                                              golden):
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps(config))
+    assert main(["simulate", "--mode", "embeddings", "--config", str(path),
+                 "--out-dir", str(tmp_path), "--seed", str(seed)]) == 0
+    if hashlib.sha256(float_kernel_bytes()).hexdigest() != FLOAT_KERNELS:
+        pytest.skip("log/trig kernels round differently from where the "
+                    "digests were taken")
+    assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                 for name in ("asv_emb.bin", "cm_emb.bin", "protocol.tsv")) \
+        == golden
+
+
+def _bits(vectors):
+    return np.asarray(vectors, dtype=np.float64).view(np.uint64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_speakers=st.integers(2, 5), d_asv=st.integers(2, 7),
+       d_cm=st.integers(2, 7),
+       delta=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       sigma_w=st.floats(0.01, 2.0), cm_margin=st.floats(0.0, 3.0),
+       counts=st.tuples(*[st.integers(0, 6)] * 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_bulk_simulator_matches_per_trial_draws(n_speakers, d_asv, d_cm,
+                                                delta, sigma_w, cm_margin,
+                                                counts, seed):
+    cfg = EmbeddingSimConfig(n_speakers=n_speakers, d_asv=d_asv, d_cm=d_cm,
+                             sigma_w=sigma_w, delta=delta,
+                             cm_margin=cm_margin, n_target=counts[0],
+                             n_nontarget=counts[1], n_spoof=counts[2],
+                             seed=seed)
+    asv, cm, trials = simulate_embeddings(cfg)
+    want_asv, want_cm, want_trials = per_trial_simulate_embeddings(cfg)
+    assert [(t.enroll_id, t.test_id, t.label) for t in trials] \
+        == want_trials
+    for store, want in ((asv, want_asv), (cm, want_cm)):
+        assert store.ids() == list(want)
+        assert np.array_equal(_bits(store.vectors),
+                              _bits(list(want.values())).reshape(
+                                  len(want), store.dim))
 
 
 class TestSplitTrials:
