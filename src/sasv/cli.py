@@ -17,7 +17,6 @@ from .core import NONTARGET, SPOOF, TARGET, CostModel, ScoreTable, \
     TrialLabel, label_codes
 from .decision import CalibrationParams, FusionConfig, calibrate, \
     fit_calibration, fuse
-from .losses import LossWeights
 from .metrics import actual_adcf, eer, det_points, min_adcf, split_by_class
 from .sim import EmbeddingSimConfig, GridSpec, ScoreSimConfig, \
     boundary_grid, simulate_embeddings, simulate_scores
@@ -209,7 +208,8 @@ def _cmd_calibrate(args):
     if not scores.size:
         raise ValueError("no usable trials for calibration task "
                          f"{args.task!r}")
-    params = fit_calibration(scores, labels)
+    with np.errstate(all="ignore"):  # overflows end in a one-line error
+        params = fit_calibration(scores, labels)
     fileio.write_report(args.out, {"w0": params.w0, "w1": params.w1,
                                    "task": args.task})
     return 0
@@ -235,8 +235,14 @@ def _cmd_fuse(args):
         if rows[i] < 0:
             raise ValueError(f"trial {trial} missing from CM scores")
         raise ValueError(f"label mismatch for trial {trial}")
-    fused = fuse(calibrate(asv.scores, asv_calib),
-                 calibrate(cm.scores[rows], cm_calib), config)
+    with np.errstate(all="ignore"):  # a non-finite score is named below
+        fused = fuse(calibrate(asv.scores, asv_calib),
+                     calibrate(cm.scores[rows], cm_calib), config)
+    bad = ~np.isfinite(fused)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"the fused score of trial {asv.enroll[i]}/"
+                         f"{asv.test[i]} is {fused[i]}")
     fileio.write_scores(args.out,
                         ScoreTable(asv.enroll, asv.test, fused, asv.codes))
     return 0
@@ -294,7 +300,6 @@ def _cmd_train(args):
         seed=args.seed,
         alpha=args.alpha,
         cost_model=_cost_model(args),
-        loss_weights=LossWeights(),
     )
     try:
         ckpt, log = train_joint(cfg, asv_store, cm_store, train_trials,

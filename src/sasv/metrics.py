@@ -66,11 +66,18 @@ def error_rates(scores, labels, tau):
 
 
 def default_system_cost(cost_model):
-    """Cost of the better of the two score-blind systems (accept/reject all)."""
+    """Cost of the better of the two score-blind systems (accept/reject all).
+
+    Raises ValueError if it is 0: the normalized a-DCF divides by it.
+    """
     reject_all = cost_model.c_miss_tar * cost_model.pi_tar
     accept_all = (cost_model.c_fa_non * cost_model.pi_non
                   + cost_model.c_fa_spf * cost_model.pi_spf)
-    return min(reject_all, accept_all)
+    cost = min(reject_all, accept_all)
+    if cost == 0:
+        raise ValueError("the default system's cost is 0, so the normalized "
+                         "a-DCF is undefined")
+    return cost
 
 
 def _combine(cost_model, p_miss, p_fa_non, p_fa_spf, normalized):
@@ -79,6 +86,9 @@ def _combine(cost_model, p_miss, p_fa_non, p_fa_spf, normalized):
              + cost_model.c_fa_spf * cost_model.pi_spf * p_fa_spf)
     if normalized:
         value /= default_system_cost(cost_model)
+        if math.isinf(value):
+            raise ValueError("the normalized a-DCF overflows: the default "
+                             "system's cost is too small")
     return value
 
 
@@ -137,7 +147,9 @@ def _sweep(uniq, classes, cost_model, normalized):
         if i:
             value += term
     if normalized:
-        value /= default_system_cost(cost_model)
+        # min <= 1 (a sentinel is the default system), so no inf is chosen
+        with np.errstate(over="ignore"):
+            value /= default_system_cost(cost_model)
     return value
 
 

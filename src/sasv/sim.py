@@ -293,17 +293,24 @@ def boundary_grid(fusion, cost_model, spec=GridSpec()):
     """Row-major (llr_asv, llr_cm, s_sasv, accept) tuples over the grid.
 
     `fusion` is a FusionConfig; the accept flag always follows the Bayes
-    policy of the cost model at the node's LLR pair.
+    policy of the cost model at the node's LLR pair.  Raises ValueError
+    naming the first node whose LLRs or fused score are not finite.
     """
     from .decision import fuse
 
     if not isinstance(fusion, FusionConfig):
         raise ValueError("fusion must be a FusionConfig")
-    a, c = np.meshgrid(
-        np.linspace(spec.llr_asv_min, spec.llr_asv_max, spec.n_asv),
-        np.linspace(spec.llr_cm_min, spec.llr_cm_max, spec.n_cm),
-        indexing="ij")
-    s = fuse(a, c, fusion)
-    accept = bayes_accept(a, c, cost_model)
+    with np.errstate(all="ignore"):  # a non-finite node is named below
+        a, c = np.meshgrid(
+            np.linspace(spec.llr_asv_min, spec.llr_asv_max, spec.n_asv),
+            np.linspace(spec.llr_cm_min, spec.llr_cm_max, spec.n_cm),
+            indexing="ij")
+        s = fuse(a, c, fusion)
+        accept = bayes_accept(a, c, cost_model)
+    bad = ~(np.isfinite(a) & np.isfinite(c) & np.isfinite(s))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"grid node {i} (llr_asv {a.flat[i]}, llr_cm "
+                         f"{c.flat[i]}) is not finite: s_sasv is {s.flat[i]}")
     return list(zip(a.ravel().tolist(), c.ravel().tolist(),
                     s.ravel().tolist(), accept.ravel().tolist()))

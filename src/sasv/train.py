@@ -8,7 +8,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import NONTARGET, SPOOF, TARGET, label_codes
+from .core import DEFAULT_COST_MODEL, NONTARGET, SPOOF, TARGET, \
+    CostModel, label_codes
 from .decision import CalibrationParams, FusionConfig, calibrate, fuse, \
     fuse_vjp, sigmoid, _fuse_nonlinear, _lse_terms
 from .losses import LossWeights, SoftAdcfConfig, combined_loss_v1, \
@@ -89,12 +90,9 @@ class TrainConfig:
     batch_size: int = 192
     lr: float = 8.61e-4
     seed: int = 0
-    cost_model: object = None
+    cost_model: CostModel = DEFAULT_COST_MODEL
     loss_weights: LossWeights = field(default_factory=LossWeights)
     alpha: float = 1.0
-    normalized_loss: bool = True
-    # which loss paths feed the calibration parameters
-    calib_gradients: str = "both"       # "both" | "fused_only" | "aux_only"
 
     def __post_init__(self):
         if self.architecture not in ARCHITECTURES:
@@ -113,9 +111,6 @@ class TrainConfig:
                 and self.epochs >= 0):
             raise ValueError(f"epochs must be a non-negative integer, "
                              f"got {self.epochs!r}")
-        if self.cost_model is None:
-            from .core import DEFAULT_COST_MODEL
-            object.__setattr__(self, "cost_model", DEFAULT_COST_MODEL)
 
 
 @dataclass
@@ -178,19 +173,19 @@ def sgd_step(params, grads, lr):
     return params
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class OptimizerState:
     """SGD or Adam over a flat name->array parameter dict."""
 
-    def __init__(self, kind, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, kind, lr):
         if kind not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer kind {kind!r}")
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.kind = kind
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = {}
         self.v = {}
@@ -211,7 +206,7 @@ def adam_step(params, grads, state):
     """
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for key, p in params.items():
         g = np.asarray(grads[key], dtype=np.float64)
         if g.shape != np.shape(p):
@@ -232,7 +227,7 @@ def adam_step(params, grads, state):
         step *= state.lr
         np.divide(v, 1.0 - b2 ** t, out=denom)
         np.sqrt(denom, out=denom)
-        denom += state.eps
+        denom += ADAM_EPS
         step /= denom
         _descend(params, key, step)
     return params
@@ -246,17 +241,11 @@ def _mlp_into_dict(prefix, mlp, out):
         out[f"{prefix}.b{i}"] = b
 
 
-def _mlp_from_dict(prefix, mlp, pdict):
-    weights = [pdict[f"{prefix}.w{i}"] for i in range(len(mlp.weights))]
-    biases = [pdict[f"{prefix}.b{i}"] for i in range(len(mlp.biases))]
-    return MlpParams(weights, biases, list(mlp.activations))
-
-
 def _param_refs(model, branch="all"):
     """Flat name->parameter dict holding the model's own arrays.
 
     Scalars (calibrations, rho_logit, tau) are float64 copies; after an
-    optimizer step `_store_scalars` writes them back.  branch selects "all",
+    optimizer step `apply_dict` writes them back.  branch selects "all",
     "asv" (ASV head + its calibration) or "cm" (CM MLP + its calibration),
     the latter two for pretraining.
     """
@@ -279,41 +268,32 @@ def _param_refs(model, branch="all"):
     return out
 
 
-_SCALARS = ("asv_calib.w0", "asv_calib.w1", "cm_calib.w0", "cm_calib.w1",
-            "rho_logit", "tau")
-
-
-def _store_scalars(model, pdict):
-    """Write the scalar parameters of a dict into the model."""
-    for calib in ("asv_calib", "cm_calib"):
-        if f"{calib}.w0" in pdict:
-            setattr(model, calib,
-                    CalibrationParams(float(pdict[f"{calib}.w0"]),
-                                      float(pdict[f"{calib}.w1"])))
-    for key in ("rho_logit", "tau"):
-        if key in pdict:
-            setattr(model, key, float(pdict[key]))
-
-
 def trainable_dict(model, branch="all"):
-    """A copy of the trainables as a flat name->array dict.
-
-    branch selects "all", "asv" (ASV head + its calibration) or
-    "cm" (CM MLP + its calibration).
-    """
+    """A copy of the trainables, named as in `_param_refs`, for a branch."""
     return {key: value.copy()
             for key, value in _param_refs(model, branch).items()}
 
 
 def apply_dict(model, pdict):
-    """Write a parameter dict back into the model (missing keys untouched)."""
-    if "asv_mlp.w0" in pdict:
-        model.asv_mlp = _mlp_from_dict("asv_mlp", model.asv_mlp, pdict)
-    if "w_asv" in pdict:
-        model.w_asv = np.asarray(pdict["w_asv"], dtype=np.float64)
-    if "cm_mlp.w0" in pdict:
-        model.cm_mlp = _mlp_from_dict("cm_mlp", model.cm_mlp, pdict)
-    _store_scalars(model, pdict)
+    """Write a parameter dict into the model; keys it lacks are untouched.
+
+    Arrays are copied into the model's own arrays (an entry that already is
+    one is skipped), so the model shares no array with the dict; a shape
+    mismatch raises ValueError before the scalars are stored.
+    """
+    for key, own in _param_refs(model).items():
+        value = pdict.get(key, own)
+        if np.ndim(own) and value is not own:
+            if np.shape(value) != own.shape:
+                raise ValueError(f"shape mismatch for {key!r}")
+            own[...] = value
+    for calib in ("asv_calib", "cm_calib"):
+        if f"{calib}.w0" in pdict:
+            setattr(model, calib, CalibrationParams(
+                float(pdict[f"{calib}.w0"]), float(pdict[f"{calib}.w1"])))
+    for key in ("rho_logit", "tau"):
+        if key in pdict:
+            setattr(model, key, float(pdict[key]))
     return model
 
 
@@ -348,16 +328,14 @@ def _branch_forward(model, branch, e_enr, e_tst_asv, e_tst_cm, work=None):
     return weighted_cosine_score(model.w_asv, e_enr, e_tst_asv)
 
 
-def _branch_backward(model, branch, s, tape, g_calib, g_llr, grads,
-                     work=None):
-    """Add one branch's gradients to grads.
+def _branch_backward(model, branch, s, tape, g_llr, grads, work=None):
+    """Add one branch's gradients, given g_llr on its LLR, to grads.
 
-    g_calib feeds its calibration and g_llr (the gradient on its LLR) its
-    head; s and tape are what `_branch_forward` returned, and work is the
-    one it ran in.  MLP gradients alias work's buffers.
+    s and tape are what `_branch_forward` returned, and work is the one it
+    ran in.  MLP gradients alias work's buffers.
     """
-    grads[f"{branch}_calib.w0"] = np.float64(np.sum(g_calib))
-    grads[f"{branch}_calib.w1"] = np.float64(np.sum(g_calib * s))
+    grads[f"{branch}_calib.w0"] = np.float64(np.sum(g_llr))
+    grads[f"{branch}_calib.w1"] = np.float64(np.sum(g_llr * s))
     calib = model.asv_calib if branch == "asv" else model.cm_calib
     g_s = g_llr * calib.w1
     mlp = _branch_mlp(model, branch)
@@ -389,36 +367,28 @@ def forward_batch(model, e_enr, e_tst_asv, e_tst_cm, works=None):
 
 
 def backward_batch(model, cache, grad_s, grad_llr_a_aux=None,
-                   grad_llr_c_aux=None, calib_gradients="both"):
-    """Chain loss gradients down to every trainable; returns a grad dict."""
+                   grad_llr_c_aux=None):
+    """Chain loss gradients down to every trainable; returns a grad dict.
+
+    grad_llr_a_aux and grad_llr_c_aux are auxiliary loss gradients on the
+    two LLRs, if the loss has them.
+    """
     grads = {}
     fusion = model.fusion
-    g_a_fused, g_c_fused, g_rho = fuse_vjp(cache["llr_a"], cache["llr_c"],
-                                           fusion, grad_s)
+    g_a, g_c, g_rho = fuse_vjp(cache["llr_a"], cache["llr_c"], fusion,
+                               grad_s)
     if fusion.mode == "nonlinear":
         r = fusion.rho_tilde
         grads["rho_logit"] = np.float64(g_rho * r * (1.0 - r))
-
-    g_a_aux = np.zeros_like(g_a_fused) if grad_llr_a_aux is None \
-        else grad_llr_a_aux
-    g_c_aux = np.zeros_like(g_c_fused) if grad_llr_c_aux is None \
-        else grad_llr_c_aux
-    g_a_total = g_a_fused + g_a_aux
-    g_c_total = g_c_fused + g_c_aux
-    if calib_gradients == "both":
-        g_a_calib, g_c_calib = g_a_total, g_c_total
-    elif calib_gradients == "fused_only":
-        g_a_calib, g_c_calib = g_a_fused, g_c_fused
-    elif calib_gradients == "aux_only":
-        g_a_calib, g_c_calib = g_a_aux, g_c_aux
-    else:
-        raise ValueError(f"unknown calib_gradients {calib_gradients!r}")
-
+    if grad_llr_a_aux is not None:
+        g_a = g_a + grad_llr_a_aux
+    if grad_llr_c_aux is not None:
+        g_c = g_c + grad_llr_c_aux
     works = cache["works"]
-    _branch_backward(model, "asv", cache["s_asv"], cache["asv_tape"],
-                     g_a_calib, g_a_total, grads, works.get("asv"))
-    _branch_backward(model, "cm", cache["s_cm"], cache["cm_tape"],
-                     g_c_calib, g_c_total, grads, works.get("cm"))
+    _branch_backward(model, "asv", cache["s_asv"], cache["asv_tape"], g_a,
+                     grads, works.get("asv"))
+    _branch_backward(model, "cm", cache["s_cm"], cache["cm_tape"], g_c,
+                     grads, works.get("cm"))
     return grads
 
 
@@ -460,18 +430,16 @@ def _stratified_batches(labels, batch_size, rng):
 
 def _batch_loss_and_grads(model, cfg, s, cache, labels):
     sa_cfg = SoftAdcfConfig(cost_model=cfg.cost_model, tau=model.tau,
-                            alpha=cfg.alpha, normalized=cfg.normalized_loss)
+                            alpha=cfg.alpha)
     if cfg.loss_variant == "v1":
         loss, grad_s, grad_tau = combined_loss_v1(
             s, labels, cfg.loss_weights, sa_cfg)
-        grads = backward_batch(model, cache, grad_s,
-                               calib_gradients=cfg.calib_gradients)
+        grads = backward_batch(model, cache, grad_s)
     else:
         loss, grad_s, grad_la, grad_lc, grad_tau = combined_loss_v2(
             cache["llr_a"], cache["llr_c"], s, labels, cfg.loss_weights,
             sa_cfg)
-        grads = backward_batch(model, cache, grad_s, grad_la, grad_lc,
-                               calib_gradients=cfg.calib_gradients)
+        grads = backward_batch(model, cache, grad_s, grad_la, grad_lc)
     grads["tau"] = np.float64(grad_tau)
     return loss, grads
 
@@ -487,7 +455,7 @@ class TrainingDiverged(RuntimeError):
 
 
 def _train_step(model, optimizer, params, grads, loss, phase, epoch, batch):
-    """Update params (the model's own arrays) and store the scalars.
+    """Update params (from `_param_refs(model)`) and write them back.
 
     Raises TrainingDiverged, naming the phase, epoch and batch, if the batch
     loss or a scalar parameter after the update is not finite; the arrays
@@ -496,13 +464,12 @@ def _train_step(model, optimizer, params, grads, loss, phase, epoch, batch):
     bad = None if math.isfinite(loss) else ("loss", loss)
     if bad is None:
         optimizer.step(params, grads)
-        bad = next(((key, params[key]) for key in _SCALARS
-                    if key in params and not math.isfinite(params[key])),
-                   None)
+        bad = next(((key, p) for key, p in params.items()
+                    if not np.ndim(p) and not math.isfinite(p)), None)
     if bad is not None:
         raise TrainingDiverged(f"{phase} diverged at epoch {epoch}, batch "
                                f"{batch}: {bad[0]} is {float(bad[1])}")
-    _store_scalars(model, params)
+    apply_dict(model, params)
 
 
 # Dev-set rows scored per forward pass.  On OpenBLAS, MLP scores in chunks
@@ -609,7 +576,7 @@ def _pretrain_loss_and_grads(model, branch, e_enr, e_tst_asv, e_tst_cm, y,
     calib = model.asv_calib if branch == "asv" else model.cm_calib
     loss, g = bce_logits_mean(calibrate(s, calib), y)
     grads = {}
-    _branch_backward(model, branch, s, tape, g, g, grads, work)
+    _branch_backward(model, branch, s, tape, g, grads, work)
     return loss, grads
 
 

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sasv import fileio
 from sasv.cli import main
@@ -566,3 +571,249 @@ class TestTrainCommand:
         assert err == ("sasv train: error: epochs must be a non-negative "
                        f"integer, got {epochs}\n")
         assert not (tmp_path / "ckpt.json").exists()
+
+
+def run_quietly(argv):
+    """main(argv) with every warning recorded; returns (rc, warnings)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    return rc, [str(w.message) for w in caught]
+
+
+class TestZeroDefaultSystemCost:
+    """The normalized a-DCF divides by the default system's cost, so a
+    cost model that makes it 0 is a one-line error, not a traceback."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--cmiss", "0"], ["--cmiss", "0", "--threshold", "0.5"],
+        ["--cfa-non", "0", "--cfa-spf", "0"],
+        ["--cfa-non", "0", "--cfa-spf", "0", "--threshold", "0.5"]])
+    def test_eval_is_one_line_error(self, tmp_path, capsys, flags):
+        scores = tmp_path / "scores.tsv"
+        write_worked_scores(scores)
+        report = tmp_path / "r.json"
+        rc, caught = run_quietly(["eval", "--scores", str(scores), *flags,
+                                  "--report", str(report)])
+        assert (rc, caught) == (1, [])
+        err = capsys.readouterr().err
+        assert err.startswith("sasv eval: error: the default system's "
+                              "cost is 0")
+        assert err.count("\n") == 1
+        assert not report.exists()
+
+    def test_eval_unnormalized_still_works(self, tmp_path):
+        scores = tmp_path / "scores.tsv"
+        write_worked_scores(scores)
+        report = tmp_path / "r.json"
+        rc, caught = run_quietly(["eval", "--scores", str(scores),
+                                  "--cmiss", "0", "--unnormalized",
+                                  "--threshold", "0.5",
+                                  "--report", str(report)])
+        assert (rc, caught) == (0, [])
+        doc = json.loads(report.read_text(), parse_constant=reject_constant)
+        assert doc["normalized"] is False and doc["min_adcf"] == 0.0
+
+    def test_train_is_one_line_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt.json"
+        rc, caught = run_quietly([*make_train_sim(tmp_path, 10),
+                                  "--cmiss", "0", "--epochs", "1",
+                                  "--out", str(ckpt)])
+        assert (rc, caught) == (1, [])
+        err = capsys.readouterr().err
+        assert err.startswith("sasv train: error: the default system's "
+                              "cost is 0")
+        assert err.count("\n") == 1
+        assert not ckpt.exists()
+
+    def test_eval_tiny_cost_is_quiet(self, tmp_path, capsys):
+        """A default cost of 5e-324 overflows the normalized a-DCF of the
+        other score-blind system; the minimum is still 1 or less."""
+        scores = tmp_path / "scores.tsv"
+        write_worked_scores(scores)
+        report = tmp_path / "r.json"
+        rc, caught = run_quietly(["eval", "--scores", str(scores),
+                                  "--cmiss", "5e-324",
+                                  "--report", str(report)])
+        assert (rc, caught) == (0, [])
+        doc = json.loads(report.read_text(), parse_constant=reject_constant)
+        assert doc["min_adcf"] <= 1.0
+        rc, caught = run_quietly(["eval", "--scores", str(scores),
+                                  "--cmiss", "5e-324", "--threshold", "0.5",
+                                  "--report", str(report)])
+        assert (rc, caught) == (1, [])
+        assert capsys.readouterr().err.startswith(
+            "sasv eval: error: the normalized a-DCF overflows")
+
+
+def write_far_apart_scores(path, magnitude):
+    rows = [("e1", "t1", magnitude, TrialLabel.TARGET),
+            ("e2", "t2", -magnitude, TrialLabel.NONTARGET),
+            ("e3", "t3", -magnitude, TrialLabel.SPOOF),
+            ("e4", "t4", magnitude / 2, TrialLabel.TARGET)]
+    fileio.write_scores(path, rows)
+
+
+class TestNonFiniteResults:
+    """fuse and grid name the first trial or node whose result overflows
+    instead of writing nan or inf; numpy prints nothing on the way."""
+
+    def test_fuse_with_capped_calibration(self, tmp_path, capsys):
+        scores = tmp_path / "s.tsv"
+        write_far_apart_scores(scores, 1e307)
+        calib = tmp_path / "c.json"
+        calib.write_text('{"w0": 0, "w1": 50}')
+        out = tmp_path / "f.tsv"
+        rc, caught = run_quietly(["fuse", "--asv", str(scores), "--cm",
+                                  str(scores), "--asv-calib", str(calib),
+                                  "--cm-calib", str(calib),
+                                  "--out", str(out)])
+        assert (rc, caught) == (1, [])
+        assert capsys.readouterr().err == (
+            "sasv fuse: error: the fused score of trial e1/t1 is nan\n")
+        assert not out.exists()
+
+    def test_fuse_linear_overflow(self, tmp_path, capsys):
+        scores = tmp_path / "s.tsv"
+        write_far_apart_scores(scores, 1e308)
+        rc, caught = run_quietly(["fuse", "--asv", str(scores), "--cm",
+                                  str(scores), "--mode", "linear",
+                                  "--out", str(tmp_path / "f.tsv")])
+        assert (rc, caught) == (1, [])
+        assert capsys.readouterr().err == (
+            "sasv fuse: error: the fused score of trial e1/t1 is inf\n")
+
+    def test_fuse_far_apart_finite_llrs_is_quiet(self, tmp_path):
+        asv, cm = tmp_path / "a.tsv", tmp_path / "c.tsv"
+        write_far_apart_scores(asv, 1e308)
+        write_far_apart_scores(cm, -1e308)
+        out = tmp_path / "f.tsv"
+        rc, caught = run_quietly(["fuse", "--asv", str(asv), "--cm", str(cm),
+                                  "--out", str(out)])
+        assert (rc, caught) == (0, [])
+        with np.errstate(over="ignore"):
+            expected = fuse_nonlinear(fileio.read_scores(asv).scores,
+                                      fileio.read_scores(cm).scores, 0.5)
+        assert np.isfinite(expected).all()
+        np.testing.assert_array_equal(fileio.read_scores(out).scores,
+                                      expected)
+
+    def test_grid_overflow(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        rc, caught = run_quietly(["grid", "--mode", "linear",
+                                  "--amin=-1e308", "--amax=1e308",
+                                  "--cmin=-1e308", "--cmax=1e308",
+                                  "--na", "3", "--nc", "3",
+                                  "--out", str(out)])
+        assert (rc, caught) == (1, [])
+        err = capsys.readouterr().err
+        assert err.startswith("sasv grid: error: grid node 0 (llr_asv nan, "
+                              "llr_cm nan) is not finite")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_grid_fused_overflow(self, tmp_path, capsys):
+        rc, caught = run_quietly(["grid", "--mode", "linear",
+                                  "--amin=1e308", "--amax=1.5e308",
+                                  "--cmin=1e308", "--cmax=1.5e308",
+                                  "--na", "2", "--nc", "2",
+                                  "--out", str(tmp_path / "g.csv")])
+        assert (rc, caught) == (1, [])
+        assert capsys.readouterr().err == (
+            "sasv grid: error: grid node 0 (llr_asv 1e+308, llr_cm 1e+308) "
+            "is not finite: s_sasv is inf\n")
+
+    def test_calibrate_separable_huge_scores(self, tmp_path, capsys):
+        scores = tmp_path / "s.tsv"
+        write_far_apart_scores(scores, 1e200)
+        rc, caught = run_quietly(["calibrate", "--scores", str(scores),
+                                  "--task", "asv",
+                                  "--out", str(tmp_path / "c.json")])
+        assert (rc, caught) == (1, [])
+        assert capsys.readouterr().err.count("\n") == 1
+
+
+COST_FLAGS = ("--cmiss", "--cfa-non", "--cfa-spf", "--ptar", "--pnon",
+              "--pspf")
+EDGE_VALUES = ("0", "5e-324", "1", "1e308")
+MAGNITUDES = (5e-324, 1e-300, 1.0, 1e200, 1e308, 1.7976931348623157e308)
+SIGNS = st.tuples(*[st.sampled_from((-1.0, -0.5, 0.5, 1.0))] * 6)
+
+
+def write_signed_scores(path, magnitude, signs):
+    labels = [TrialLabel.TARGET, TrialLabel.NONTARGET, TrialLabel.SPOOF] * 2
+    fileio.write_scores(path, [(f"e{i}", f"t{i}", magnitude * sign, label)
+                               for i, (sign, label)
+                               in enumerate(zip(signs, labels))])
+
+
+def run_captured(argv):
+    """main(argv) quietly; returns (rc, warnings, stderr text)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc, caught = run_quietly(argv)
+    return rc, caught, err.getvalue()
+
+
+def assert_clean_exit(rc, caught, err):
+    assert rc in (0, 1)
+    assert caught == []
+    assert err.count("\n") <= 1 and "Traceback" not in err
+    assert (rc == 0) == (err == "")
+
+
+class TestEdgeValueProperties:
+    """eval and fuse either write finite numbers or fail with one line,
+    whatever the cost flags and score magnitudes."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(costs=st.dictionaries(st.sampled_from(COST_FLAGS),
+                                 st.sampled_from(EDGE_VALUES)),
+           magnitude=st.sampled_from(MAGNITUDES), signs=SIGNS,
+           threshold=st.sampled_from((None, "0.5", "-1e308", "1e308")),
+           unnormalized=st.booleans())
+    def test_eval(self, costs, magnitude, signs, threshold, unnormalized):
+        with tempfile.TemporaryDirectory() as tmp:
+            scores = os.path.join(tmp, "s.tsv")
+            report = os.path.join(tmp, "r.json")
+            write_signed_scores(scores, magnitude, signs)
+            argv = ["eval", "--scores", scores, "--report", report]
+            for flag, value in costs.items():
+                argv += [f"{flag}={value}"]
+            if threshold is not None:
+                argv += [f"--threshold={threshold}"]
+            if unnormalized:
+                argv += ["--unnormalized"]
+            rc, caught, err = run_captured(argv)
+            assert_clean_exit(rc, caught, err)
+            if rc == 0:
+                with open(report, encoding="utf-8") as f:
+                    json.load(f, parse_constant=reject_constant)
+
+    @settings(max_examples=50, deadline=None)
+    @given(asv_magnitude=st.sampled_from(MAGNITUDES), asv_signs=SIGNS,
+           cm_magnitude=st.sampled_from(MAGNITUDES), cm_signs=SIGNS,
+           mode=st.sampled_from(("linear", "nonlinear")),
+           rho=st.sampled_from(("0", "0.5", "1")),
+           w1=st.sampled_from((None, "1", "50")))
+    def test_fuse(self, asv_magnitude, asv_signs, cm_magnitude, cm_signs,
+                  mode, rho, w1):
+        with tempfile.TemporaryDirectory() as tmp:
+            asv, cm, out = (os.path.join(tmp, name)
+                            for name in ("a.tsv", "c.tsv", "f.tsv"))
+            write_signed_scores(asv, asv_magnitude, asv_signs)
+            write_signed_scores(cm, cm_magnitude, cm_signs)
+            argv = ["fuse", "--asv", asv, "--cm", cm, "--mode", mode,
+                    "--rho", rho, "--out", out]
+            if w1 is not None:
+                calib = os.path.join(tmp, "calib.json")
+                with open(calib, "w", encoding="utf-8") as f:
+                    f.write(f'{{"w0": 0, "w1": {w1}}}')
+                argv += ["--asv-calib", calib, "--cm-calib", calib]
+            rc, caught, err = run_captured(argv)
+            assert_clean_exit(rc, caught, err)
+            if rc == 0:
+                with open(out, encoding="utf-8") as f:
+                    fused = [float(line.split("\t")[2]) for line in f]
+                assert len(fused) == 6
+                assert all(map(math.isfinite, fused))

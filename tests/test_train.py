@@ -18,7 +18,7 @@ from sasv.train import (ARCHITECTURES, Checkpoint, ModelParams,
                         init_model, pretrain_heads, score_trials, sgd_step,
                         train_joint, trainable_dict, tune_fusion_rho,
                         _stratified_batches, _batch_loss_and_grads,
-                        _pretrain_loss_and_grads)
+                        _param_refs, _pretrain_loss_and_grads)
 from sasv.sim import make_rng
 
 SMALL_HIDDEN = (6, 4)
@@ -188,6 +188,58 @@ class TestParamDicts:
         assert model.tau == 0.7
         assert model.asv_calib.w1 == 2.0
 
+    def test_apply_copies_into_the_models_own_arrays(self):
+        cfg = TrainConfig(architecture="mlp-mlp")
+        model = tiny_model(cfg, 4, 3)
+        own = {key: v for key, v in trainable_dict(model).items()
+               if np.ndim(v)}
+        refs = {key: v for key, v in _param_refs(model).items()
+                if np.ndim(v)}
+        d = trainable_dict(model)
+        for value in d.values():
+            value += 1.0
+        apply_dict(model, d)
+        after = _param_refs(model)
+        for key, value in refs.items():
+            assert after[key] is value, key
+            assert not np.shares_memory(value, d[key]), key
+            np.testing.assert_array_equal(value, own[key] + 1.0)
+        d["cm_mlp.w0"][0, 0] = 99.0  # the model keeps its copy
+        assert model.cm_mlp.weights[0][0, 0] != 99.0
+
+    def test_apply_skips_the_models_own_arrays(self):
+        model = tiny_model(TrainConfig(architecture="wcos-mlp"), 4, 3)
+        refs = _param_refs(model)
+        w_asv = model.w_asv.copy()
+        refs["tau"] = np.float64(0.25)
+        apply_dict(model, refs)
+        assert model.w_asv is refs["w_asv"]
+        np.testing.assert_array_equal(model.w_asv, w_asv)
+        assert model.tau == 0.25
+
+    @pytest.mark.parametrize("key", ["w_asv", "cm_mlp.w0", "cm_mlp.b1"])
+    def test_apply_wrong_shape_raises(self, key):
+        model = tiny_model(TrainConfig(architecture="wcos-mlp"), 4, 3)
+        d = trainable_dict(model)
+        d[key] = np.zeros(d[key].size + 1)
+        with pytest.raises(ValueError, match=f"shape mismatch for '{key}'"):
+            apply_dict(model, d)
+
+    @pytest.mark.parametrize("branch", ["asv", "cm"])
+    def test_apply_branch_dict_leaves_other_keys(self, branch):
+        model = tiny_model(TrainConfig(architecture="mlp-mlp"), 4, 3)
+        before = trainable_dict(model)
+        d = trainable_dict(model, branch)
+        for key in d:
+            d[key] = d[key] + 0.5
+        apply_dict(model, d)
+        after = trainable_dict(model)
+        assert set(after) == set(before)
+        for key in before:
+            expected = d[key] if key in d else before[key]
+            assert np.asarray(after[key]).tobytes() == \
+                np.asarray(expected).tobytes(), key
+
     def test_linear_fusion_has_no_rho(self):
         cfg = TrainConfig(architecture="wcos-mlp", fusion_mode="linear")
         model = tiny_model(cfg, 4, 3)
@@ -266,24 +318,6 @@ class TestForwardBackward:
                 probe[key] = arr if np.ndim(base[key]) else np.float64(arr[0])
                 down = loss_at(probe)
                 check_grad(g_flat[idx], (up - down) / (2 * h))
-
-    def test_calib_gradient_routing(self):
-        cfg, asv, cm, train, _ = tiny_setup(loss_variant="v2")
-        model = tiny_model(cfg, asv.dim, cm.dim)
-        batch = train[:12]
-        e_enr = asv.matrix([t.enroll_id for t in batch])
-        e_ta = asv.matrix([t.test_id for t in batch])
-        e_tc = cm.matrix([t.test_id for t in batch])
-        s, cache = forward_batch(model, e_enr, e_ta, e_tc)
-        grad_s = np.ones_like(s)
-        aux = np.full_like(s, 0.5)
-        both = backward_batch(model, cache, grad_s, aux, aux, "both")
-        fused = backward_batch(model, cache, grad_s, aux, aux, "fused_only")
-        aux_only = backward_batch(model, cache, grad_s, aux, aux, "aux_only")
-        assert both["asv_calib.w0"] == pytest.approx(
-            fused["asv_calib.w0"] + aux_only["asv_calib.w0"], rel=1e-12)
-        with pytest.raises(ValueError):
-            backward_batch(model, cache, grad_s, calib_gradients="neither")
 
 
 class TestStratifiedBatches:
