@@ -14,7 +14,7 @@ import numpy as np
 
 from . import fileio
 from .core import NONTARGET, SPOOF, TARGET, CostModel, ScoreTable, \
-    TrialLabel, label_codes
+    TrialLabel, label_codes, subsystem_task
 from .decision import CalibrationParams, FusionConfig, calibrate, \
     fit_calibration, fuse
 from .metrics import actual_adcf, eer, det_points, min_adcf, split_by_class
@@ -199,12 +199,8 @@ def _cmd_simulate(args):
 
 def _cmd_calibrate(args):
     table = fileio.read_scores(args.scores)
-    if args.task == "asv":
-        bonafide = table.codes != SPOOF
-        scores = table.scores[bonafide]
-        labels = table.codes[bonafide] == TARGET
-    else:
-        scores, labels = table.scores, table.codes != SPOOF
+    rows, y = subsystem_task(table.codes, args.task)
+    scores, labels = table.scores[rows], y[rows]
     if not scores.size:
         raise ValueError("no usable trials for calibration task "
                          f"{args.task!r}")

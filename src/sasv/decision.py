@@ -58,10 +58,14 @@ def sigmoid(z):
     return float(out) if out.ndim == 0 else out
 
 
+def logistic_loss(z, y):
+    """Elementwise -log sigmoid(z) for y=1 and -log sigmoid(-z) for y=0,
+    in the one stable form max(z, 0) - z y + log(1 + e^-|z|)."""
+    return np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
+
+
 def _logistic_nll(w0, w1, s, y):
-    z = w0 + w1 * s
-    # log(1 + e^-z) for y=1, log(1 + e^z) for y=0, in one stable form
-    return float(np.sum(np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))))
+    return float(np.sum(logistic_loss(w0 + w1 * s, y)))
 
 
 def fit_calibration(scores, labels):
@@ -69,7 +73,8 @@ def fit_calibration(scores, labels):
 
     Damped Newton iterations; stops at gradient norm <= FIT_GRAD_TOL.  On
     separable data the scale diverges, so |w1| is capped at FIT_SCALE_CAP and
-    the fit returns instead of looping.
+    the fit returns instead of looping.  Scores so large that the gradient
+    or the Hessian overflows raise CalibrationFitError at once.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -93,6 +98,9 @@ def fit_calibration(scores, labels):
         h01 = float(np.sum(w * s))
         h11 = float(np.sum(w * s * s)) + 1e-12
         det = h00 * h11 - h01 * h01
+        if not all(map(math.isfinite, (g0, g1, det))):
+            raise CalibrationFitError("calibration scores are too large: "
+                                      "the Newton step overflows")
         if det <= 0:
             raise CalibrationFitError("singular Hessian in calibration fit")
         d0 = (h11 * g0 - h01 * g1) / det
@@ -173,10 +181,8 @@ def bayes_accept(llr_asv, llr_cm, cost_model):
     elif v == 0.0:
         lhs = np.broadcast_arrays(a - math.log(u), b)[0]
     else:
-        ta = math.log(u) - a
-        tb = math.log(v) - b
-        m = np.maximum(ta, tb)
-        lhs = -(m + np.log(np.exp(ta - m) + np.exp(tb - m)))
+        m, ea, eb = _lse_terms(a - math.log(u), b - math.log(v))
+        lhs = -(m + np.log(ea + eb))
     accept = lhs > -math.log(cost_model.beta)
     return bool(accept) if accept.ndim == 0 else accept
 

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LABELS, NONTARGET, SPOOF, TARGET, label_codes
-from .decision import sigmoid
-from .metrics import default_system_cost
+from .core import LABELS, NONTARGET, SPOOF, TARGET, label_codes, \
+    subsystem_task
+from .decision import logistic_loss, sigmoid
+from .metrics import _class_weights, default_system_cost
 
 PROB_EPS = 1e-7
 
@@ -60,9 +61,7 @@ def bce(value, y, input_kind="logit"):
     """
     if input_kind == "logit":
         x = float(value)
-        loss = max(x, 0.0) - x * y + math.log1p(math.exp(-abs(x)))
-        grad = sigmoid(x) - y
-        return loss, grad
+        return float(logistic_loss(x, y)), sigmoid(x) - y
     if input_kind == "probability":
         p = min(max(float(value), PROB_EPS), 1.0 - PROB_EPS)
         loss = -(y * math.log(p) + (1 - y) * math.log(1.0 - p))
@@ -77,9 +76,8 @@ def bce_logits_mean(logits, ys):
     y = np.asarray(ys, dtype=np.float64)
     if x.size == 0:
         raise ValueError("empty batch in BCE")
-    losses = np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))
     grads = (sigmoid(x) - y) / x.size
-    return float(np.mean(losses)), grads
+    return float(np.mean(logistic_loss(x, y))), grads
 
 
 def _class_masks(labels):
@@ -106,12 +104,8 @@ def soft_adcf(scores, labels, cfg):
     grad = np.zeros_like(s)
     grad_tau = 0.0
     loss = 0.0
-    specs = (
-        (cm.c_miss_tar * cm.pi_tar, -1.0),
-        (cm.c_fa_non * cm.pi_non, +1.0),
-        (cm.c_fa_spf * cm.pi_spf, +1.0),
-    )
-    for mask, (weight, sign) in zip(masks, specs):
+    for mask, weight, sign in zip(masks, _class_weights(cm),
+                                  (-1.0, +1.0, +1.0)):
         z = sign * a * (s[mask] - cfg.tau)
         p = sigmoid(z)
         loss += weight * float(np.mean(p))
@@ -149,8 +143,8 @@ def combined_loss_v1(s_sasv, labels, weights, cfg):
 def combined_loss_v2(llr_asv, llr_cm, s_sasv, labels, weights, cfg):
     """lambda1 * soft a-DCF + lambda2 * aux ASV BCE + lambda3 * aux CM BCE.
 
-    The aux ASV term is averaged over non-spoof trials only (spoof trials
-    carry no speaker-detection label).  Returns
+    Each aux term is averaged over the trials `core.subsystem_task` gives
+    its subsystem (for ASV, the bonafide ones).  Returns
     (loss, grad_s_sasv, grad_llr_asv, grad_llr_cm, grad_tau).
     """
     s = np.asarray(s_sasv, dtype=np.float64)
@@ -167,16 +161,14 @@ def combined_loss_v2(llr_asv, llr_cm, s_sasv, labels, weights, cfg):
         loss += weights.lambda1 * l_adcf
         grad_s += weights.lambda1 * g_adcf
         grad_tau += weights.lambda1 * g_tau
-    bonafide = codes != SPOOF
-    if weights.lambda2 > 0:
-        if not np.any(bonafide):
-            raise ValueError("aux ASV BCE needs at least one bonafide trial")
-        y_asv = (codes[bonafide] == TARGET).astype(np.float64)
-        l_asv, g_asv = bce_logits_mean(la[bonafide], y_asv)
-        loss += weights.lambda2 * l_asv
-        grad_la[bonafide] += weights.lambda2 * g_asv
-    if weights.lambda3 > 0:
-        l_cm, g_cm = bce_logits_mean(lc, bonafide.astype(np.float64))
-        loss += weights.lambda3 * l_cm
-        grad_lc += weights.lambda3 * g_cm
+    for task, weight, llr, grad in (("asv", weights.lambda2, la, grad_la),
+                                    ("cm", weights.lambda3, lc, grad_lc)):
+        if weight > 0:
+            rows, y = subsystem_task(codes, task)
+            if not np.any(rows):
+                raise ValueError(f"aux {task.upper()} BCE has no trials; "
+                                 "the ASV term takes bonafide trials only")
+            l_aux, g_aux = bce_logits_mean(llr[rows], y[rows])
+            loss += weight * l_aux
+            grad[rows] += weight * g_aux
     return loss, grad_s, grad_la, grad_lc, grad_tau

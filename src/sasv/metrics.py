@@ -28,8 +28,6 @@ class AdcfReport:
     min_threshold: float
     normalized: bool
     rates_at_min: ErrorRates
-    act_adcf: float | None = None
-    act_threshold: float | None = None
 
 
 def split_by_class(scores, labels):
@@ -45,17 +43,11 @@ def split_by_class(scores, labels):
 
 
 def _rates(tar, non, spf, tau):
-    def miss(x):
-        if x.size == 0:
-            raise ValueError("empty class in error-rate computation")
-        return float(np.count_nonzero(x < tau)) / x.size
-
-    def fa(x):
-        if x.size == 0:
-            raise ValueError("empty class in error-rate computation")
-        return float(np.count_nonzero(x >= tau)) / x.size
-
-    return miss(tar), fa(non), fa(spf)
+    if min(tar.size, non.size, spf.size) == 0:
+        raise ValueError("empty class in error-rate computation")
+    return (float(np.count_nonzero(tar < tau)) / tar.size,
+            float(np.count_nonzero(non >= tau)) / non.size,
+            float(np.count_nonzero(spf >= tau)) / spf.size)
 
 
 def error_rates(scores, labels, tau):
@@ -65,15 +57,20 @@ def error_rates(scores, labels, tau):
     return ErrorRates(p_miss, p_fa_non, p_fa_spf, float(tau))
 
 
+def _class_weights(cm):
+    """The a-DCF's cost x prior weight of each error: (target miss,
+    nontarget false alarm, spoof false alarm)."""
+    return (cm.c_miss_tar * cm.pi_tar, cm.c_fa_non * cm.pi_non,
+            cm.c_fa_spf * cm.pi_spf)
+
+
 def default_system_cost(cost_model):
     """Cost of the better of the two score-blind systems (accept/reject all).
 
     Raises ValueError if it is 0: the normalized a-DCF divides by it.
     """
-    reject_all = cost_model.c_miss_tar * cost_model.pi_tar
-    accept_all = (cost_model.c_fa_non * cost_model.pi_non
-                  + cost_model.c_fa_spf * cost_model.pi_spf)
-    cost = min(reject_all, accept_all)
+    reject_all, fa_non, fa_spf = _class_weights(cost_model)
+    cost = min(reject_all, fa_non + fa_spf)
     if cost == 0:
         raise ValueError("the default system's cost is 0, so the normalized "
                          "a-DCF is undefined")
@@ -81,9 +78,8 @@ def default_system_cost(cost_model):
 
 
 def _combine(cost_model, p_miss, p_fa_non, p_fa_spf, normalized):
-    value = (cost_model.c_miss_tar * cost_model.pi_tar * p_miss
-             + cost_model.c_fa_non * cost_model.pi_non * p_fa_non
-             + cost_model.c_fa_spf * cost_model.pi_spf * p_fa_spf)
+    w_tar, w_non, w_spf = _class_weights(cost_model)
+    value = w_tar * p_miss + w_non * p_fa_non + w_spf * p_fa_spf
     if normalized:
         value /= default_system_cost(cost_model)
         if math.isinf(value):
@@ -129,12 +125,9 @@ def _sweep(uniq, classes, cost_model, normalized):
     """
     top = int(np.searchsorted(uniq, np.inf))
     value, term = np.empty((2, uniq.size + 1))
-    cm = cost_model
-    weights = (cm.c_miss_tar * cm.pi_tar, cm.c_fa_non * cm.pi_non,
-               cm.c_fa_spf * cm.pi_spf)
     # the operations and their order are _combine's, so the bits are too;
     # the counts are integers below 2**53, exact in float64
-    for i, (x, weight) in enumerate(zip(classes, weights)):
+    for i, (x, weight) in enumerate(zip(classes, _class_weights(cost_model))):
         out = term if i else value
         bins = np.searchsorted(uniq, np.sort(x))
         out[0] = 0.0

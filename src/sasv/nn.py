@@ -216,18 +216,10 @@ def mlp_backward(params, tape, upstream, work=None, input_grad=True):
 
 
 def cosine_score(e1, e2):
-    """Plain cosine similarity of two equal-length vectors or batches."""
+    """Plain cosine similarity of two equal-length vectors or batches: the
+    weighted cosine with unit weights, as 1.0 * x is x exactly."""
     a = np.asarray(e1, dtype=np.float64)
-    b = np.asarray(e2, dtype=np.float64)
-    single = a.ndim == 1
-    a2 = a[None, :] if single else a
-    b2 = b[None, :] if single else b
-    na = np.linalg.norm(a2, axis=1)
-    nb = np.linalg.norm(b2, axis=1)
-    if np.any(na == 0) or np.any(nb == 0):
-        raise ValueError("cosine undefined for zero-norm vectors")
-    s = np.sum(a2 * b2, axis=1) / (na * nb)
-    return float(s[0]) if single else s
+    return weighted_cosine_score(np.ones(a.shape[-1]), a, e2)[0]
 
 
 def weighted_cosine_score(w, e_enr, e_tst):
@@ -243,7 +235,7 @@ def weighted_cosine_score(w, e_enr, e_tst):
     nu = np.linalg.norm(u, axis=1)
     nv = np.linalg.norm(v, axis=1)
     if np.any(nu == 0) or np.any(nv == 0):
-        raise ValueError("zero norm after weighting")
+        raise ValueError("cosine undefined for zero-norm (weighted) vectors")
     s = np.sum(u * v, axis=1) / (nu * nv)
     tape = (w, a2, b2, nu, nv, s, single)
     return (float(s[0]) if single else s), tape

@@ -289,6 +289,15 @@ class GridSpec:
             raise ValueError("grid bounds must be finite")
 
 
+def _grid_axis(start, stop, n):
+    """np.linspace(start, stop, n); where stop - start overflows, the
+    finite (1 - t) start + t stop at the same fractions t."""
+    if math.isfinite(stop - start):
+        return np.linspace(start, stop, n)
+    t = np.linspace(0.0, 1.0, n)
+    return (1.0 - t) * start + t * stop
+
+
 def boundary_grid(fusion, cost_model, spec=GridSpec()):
     """Row-major (llr_asv, llr_cm, s_sasv, accept) tuples over the grid.
 
@@ -302,8 +311,8 @@ def boundary_grid(fusion, cost_model, spec=GridSpec()):
         raise ValueError("fusion must be a FusionConfig")
     with np.errstate(all="ignore"):  # a non-finite node is named below
         a, c = np.meshgrid(
-            np.linspace(spec.llr_asv_min, spec.llr_asv_max, spec.n_asv),
-            np.linspace(spec.llr_cm_min, spec.llr_cm_max, spec.n_cm),
+            _grid_axis(spec.llr_asv_min, spec.llr_asv_max, spec.n_asv),
+            _grid_axis(spec.llr_cm_min, spec.llr_cm_max, spec.n_cm),
             indexing="ij")
         s = fuse(a, c, fusion)
         accept = bayes_accept(a, c, cost_model)

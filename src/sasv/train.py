@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import DEFAULT_COST_MODEL, NONTARGET, SPOOF, TARGET, \
-    CostModel, label_codes
+    CostModel, label_codes, subsystem_task
 from .decision import CalibrationParams, FusionConfig, calibrate, fuse, \
     fuse_vjp, sigmoid, _fuse_nonlinear, _lse_terms
 from .losses import LossWeights, SoftAdcfConfig, combined_loss_v1, \
@@ -91,7 +91,6 @@ class TrainConfig:
     lr: float = 8.61e-4
     seed: int = 0
     cost_model: CostModel = DEFAULT_COST_MODEL
-    loss_weights: LossWeights = field(default_factory=LossWeights)
     alpha: float = 1.0
 
     def __post_init__(self):
@@ -428,17 +427,19 @@ def _stratified_batches(labels, batch_size, rng):
     return [np.concatenate(b) for b in batches]
 
 
+LOSS_WEIGHTS = LossWeights()  # every term of the combined losses weighs 1
+
+
 def _batch_loss_and_grads(model, cfg, s, cache, labels):
     sa_cfg = SoftAdcfConfig(cost_model=cfg.cost_model, tau=model.tau,
                             alpha=cfg.alpha)
     if cfg.loss_variant == "v1":
         loss, grad_s, grad_tau = combined_loss_v1(
-            s, labels, cfg.loss_weights, sa_cfg)
+            s, labels, LOSS_WEIGHTS, sa_cfg)
         grads = backward_batch(model, cache, grad_s)
     else:
         loss, grad_s, grad_la, grad_lc, grad_tau = combined_loss_v2(
-            cache["llr_a"], cache["llr_c"], s, labels, cfg.loss_weights,
-            sa_cfg)
+            cache["llr_a"], cache["llr_c"], s, labels, LOSS_WEIGHTS, sa_cfg)
         grads = backward_batch(model, cache, grad_s, grad_la, grad_lc)
     grads["tau"] = np.float64(grad_tau)
     return loss, grads
@@ -591,10 +592,8 @@ def pretrain_heads(cfg, asv_store, cm_store, trials, embeddings=None):
     if embeddings is None:
         embeddings = _embeddings(asv_store, cm_store, trials)
     codes = label_codes([t.label for t in trials])
-    bonafide = codes != SPOOF
-    # the ASV branch learns target vs nontarget on bonafide trials only
-    for branch, keep, y in (("asv", bonafide, codes == TARGET),
-                            ("cm", np.ones(codes.size, bool), bonafide)):
+    for branch in ("asv", "cm"):
+        keep, y = subsystem_task(codes, branch)
         params = _param_refs(model, branch)
         optimizer = OptimizerState(cfg.optimizer, cfg.lr)
         idx_all = np.nonzero(keep)[0]
@@ -611,7 +610,7 @@ def pretrain_heads(cfg, asv_store, cm_store, trials, embeddings=None):
                 with np.errstate(all="ignore"):  # as in train_joint
                     loss, grads = _pretrain_loss_and_grads(
                         model, branch, *(e[chunk] for e in embeddings),
-                        y[chunk].astype(np.float64), work)
+                        y[chunk], work)
                     _train_step(model, optimizer, params, grads, loss,
                                 f"{branch.upper()} pretraining", epoch,
                                 number)

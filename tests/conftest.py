@@ -1,6 +1,7 @@
-"""Shared test helpers: finite differences, brute-force metric oracles and
-the per-trial embedding simulator and per-record embedding reader that the
-bulk ones replaced."""
+"""Shared test helpers: finite differences, brute-force metric oracles, the
+per-trial embedding simulator and per-record embedding reader that the bulk
+ones replaced, and the written-out copies of formulas that now have one
+shared definition."""
 
 import math
 import struct
@@ -8,7 +9,10 @@ import struct
 import numpy as np
 
 from sasv.core import TrialLabel
+from sasv.decision import sigmoid
 from sasv.fileio import EMBEDDING_MAGIC, EMBEDDING_VERSION, FormatError
+from sasv.losses import _class_masks
+from sasv.metrics import split_by_class
 from sasv.sim import make_rng
 
 
@@ -171,3 +175,134 @@ def per_record_read_embeddings(path):
     if pos != len(data):
         raise FormatError(f"{path}: {len(data) - pos} trailing bytes")
     return dim, vectors
+
+
+# The formulas below are the copies that each module once wrote out for
+# itself; the package now computes each through one shared definition
+# (decision.logistic_loss, decision._lse_terms, nn.weighted_cosine_score,
+# metrics._class_weights), and the tests hold it to these bits.
+
+def inline_logistic_nll(w0, w1, s, y):
+    """decision._logistic_nll with the stable logistic loss written out."""
+    z = w0 + w1 * s
+    return float(np.sum(np.maximum(z, 0.0) - z * y
+                        + np.log1p(np.exp(-np.abs(z)))))
+
+
+def inline_bce_logits_mean(logits, ys):
+    """losses.bce_logits_mean with the stable logistic loss written out."""
+    x = np.asarray(logits, dtype=np.float64)
+    y = np.asarray(ys, dtype=np.float64)
+    losses = np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))
+    return float(np.mean(losses)), (sigmoid(x) - y) / x.size
+
+
+def libm_bce_logit(x, y):
+    """losses.bce's logit loss of one float, in libm (math) operations."""
+    return max(x, 0.0) - x * y + math.log1p(math.exp(-abs(x)))
+
+
+def two_term_bayes_accept(llr_asv, llr_cm, cost_model):
+    """decision.bayes_accept with its own log-sum-exp of log u - a and
+    log v - b."""
+    rho = cost_model.rho
+    u = (1.0 - rho) * cost_model.c_fa_non / cost_model.c_miss_tar
+    v = rho * cost_model.c_fa_spf / cost_model.c_miss_tar
+    a = np.asarray(llr_asv, dtype=np.float64)
+    b = np.asarray(llr_cm, dtype=np.float64)
+    if u == 0.0 and v == 0.0:
+        lhs = np.full(np.broadcast(a, b).shape, math.inf)
+    elif u == 0.0:
+        lhs = np.broadcast_arrays(a, b - math.log(v))[1]
+    elif v == 0.0:
+        lhs = np.broadcast_arrays(a - math.log(u), b)[0]
+    else:
+        ta = math.log(u) - a
+        tb = math.log(v) - b
+        m = np.maximum(ta, tb)
+        lhs = -(m + np.log(np.exp(ta - m) + np.exp(tb - m)))
+    accept = lhs > -math.log(cost_model.beta)
+    return bool(accept) if accept.ndim == 0 else accept
+
+
+def unweighted_cosine_score(e1, e2):
+    """nn.cosine_score computed without the weighted cosine."""
+    a = np.asarray(e1, dtype=np.float64)
+    b = np.asarray(e2, dtype=np.float64)
+    single = a.ndim == 1
+    a2 = a[None, :] if single else a
+    b2 = b[None, :] if single else b
+    na = np.linalg.norm(a2, axis=1)
+    nb = np.linalg.norm(b2, axis=1)
+    if np.any(na == 0) or np.any(nb == 0):
+        raise ValueError("cosine undefined for zero-norm vectors")
+    s = np.sum(a2 * b2, axis=1) / (na * nb)
+    return float(s[0]) if single else s
+
+
+def inline_default_system_cost(cm):
+    return min(cm.c_miss_tar * cm.pi_tar,
+               cm.c_fa_non * cm.pi_non + cm.c_fa_spf * cm.pi_spf)
+
+
+def inline_weight_adcf(cm, p_miss, p_fa_non, p_fa_spf, normalized):
+    """metrics._combine with the cost x prior weights written out."""
+    value = (cm.c_miss_tar * cm.pi_tar * p_miss
+             + cm.c_fa_non * cm.pi_non * p_fa_non
+             + cm.c_fa_spf * cm.pi_spf * p_fa_spf)
+    return value / inline_default_system_cost(cm) if normalized else value
+
+
+def inline_weight_soft_adcf(scores, labels, cfg):
+    """losses.soft_adcf with the cost x prior weights written out."""
+    s = np.asarray(scores, dtype=np.float64)
+    masks = _class_masks(labels)
+    cm = cfg.cost_model
+    a = cfg.alpha
+    grad = np.zeros_like(s)
+    grad_tau = 0.0
+    loss = 0.0
+    specs = ((cm.c_miss_tar * cm.pi_tar, -1.0),
+             (cm.c_fa_non * cm.pi_non, +1.0),
+             (cm.c_fa_spf * cm.pi_spf, +1.0))
+    for mask, (weight, sign) in zip(masks, specs):
+        z = sign * a * (s[mask] - cfg.tau)
+        p = sigmoid(z)
+        loss += weight * float(np.mean(p))
+        d = weight * a * p * (1.0 - p) / np.count_nonzero(mask)
+        grad[mask] += sign * d
+        grad_tau += -sign * float(np.sum(d))
+    if cfg.normalized:
+        norm = inline_default_system_cost(cm)
+        loss /= norm
+        grad /= norm
+        grad_tau /= norm
+    return loss, grad, grad_tau
+
+
+def inline_weight_min_adcf(scores, labels, cm, normalized=True):
+    """The min a-DCF of metrics.min_adcf's sweep, with the cost x prior
+    weights written out."""
+    s = np.asarray(scores, dtype=np.float64)
+    classes = split_by_class(s, labels)
+    uniq = np.unique(s)
+    top = int(np.searchsorted(uniq, np.inf))
+    value, term = np.empty((2, uniq.size + 1))
+    weights = (cm.c_miss_tar * cm.pi_tar, cm.c_fa_non * cm.pi_non,
+               cm.c_fa_spf * cm.pi_spf)
+    for i, (x, weight) in enumerate(zip(classes, weights)):
+        out = term if i else value
+        bins = np.searchsorted(uniq, np.sort(x))
+        out[0] = 0.0
+        np.cumsum(np.bincount(bins, minlength=uniq.size), out=out[1:])
+        out[-1] = out[top]
+        out /= x.size
+        if i:
+            np.subtract(1.0, out, out=out)
+        out *= weight
+        if i:
+            value += term
+    if normalized:
+        with np.errstate(over="ignore"):
+            value /= inline_default_system_cost(cm)
+    return float(value[int(np.argmin(value))])

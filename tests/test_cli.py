@@ -706,11 +706,22 @@ class TestNonFiniteResults:
                                   "--na", "3", "--nc", "3",
                                   "--out", str(out)])
         assert (rc, caught) == (1, [])
-        err = capsys.readouterr().err
-        assert err.startswith("sasv grid: error: grid node 0 (llr_asv nan, "
-                              "llr_cm nan) is not finite")
-        assert err.count("\n") == 1
+        assert capsys.readouterr().err == (
+            "sasv grid: error: grid node 0 (llr_asv -1e+308, llr_cm -1e+308) "
+            "is not finite: s_sasv is -inf\n")
         assert not out.exists()
+
+    def test_grid_nodes_at_extreme_bounds(self, tmp_path):
+        # stop - start overflows, yet every node is a finite double
+        out = tmp_path / "g.csv"
+        rc, caught = run_quietly(["grid", "--mode", "linear",
+                                  "--amin=-1e308", "--amax=1e308",
+                                  "--na", "3", "--nc", "3",
+                                  "--out", str(out)])
+        assert (rc, caught) == (0, [])
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [r[0] for r in rows[::3]] == ["-1e+308", "0", "1e+308"]
+        assert [r[1] for r in rows[:3]] == ["-8", "0", "8"]
 
     def test_grid_fused_overflow(self, tmp_path, capsys):
         rc, caught = run_quietly(["grid", "--mode", "linear",
@@ -730,7 +741,9 @@ class TestNonFiniteResults:
                                   "--task", "asv",
                                   "--out", str(tmp_path / "c.json")])
         assert (rc, caught) == (1, [])
-        assert capsys.readouterr().err.count("\n") == 1
+        assert capsys.readouterr().err == (
+            "sasv calibrate: error: calibration scores are too large: the "
+            "Newton step overflows\n")
 
 
 COST_FLAGS = ("--cmiss", "--cfa-non", "--cfa-spf", "--ptar", "--pnon",
