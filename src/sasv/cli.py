@@ -39,19 +39,12 @@ def _cost_model(args):
 
 
 def _cost_model_json(cm):
-    return {"c_miss_tar": cm.c_miss_tar, "c_fa_non": cm.c_fa_non,
-            "c_fa_spf": cm.c_fa_spf, "pi_tar": cm.pi_tar,
-            "pi_non": cm.pi_non, "pi_spf": cm.pi_spf,
-            "rho": cm.rho, "beta": cm.beta}
+    return {**dataclasses.asdict(cm), "rho": cm.rho, "beta": cm.beta}
 
 
 def _load_calibration(path):
     """CalibrationParams from a JSON object with finite numbers w0 and w1."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    doc = fileio.read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: calibration must be a JSON object")
     for key in ("w0", "w1"):
@@ -147,8 +140,7 @@ def _build_parser():
 
 def _load_sim_overrides(path, fields):
     """The simulator fields a --config JSON object sets."""
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+    doc = fileio.read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     for key in doc:
@@ -187,7 +179,8 @@ def _cmd_simulate(args):
         overrides = _load_sim_overrides(args.config, fields) \
             if args.config else {}
         cfg = EmbeddingSimConfig(**overrides, seed=args.seed)
-        asv_store, cm_store, trials = simulate_embeddings(cfg)
+        with np.errstate(all="ignore"):  # the store names a non-finite row
+            asv_store, cm_store, trials = simulate_embeddings(cfg)
         fileio.write_embeddings(os.path.join(args.out_dir, "asv_emb.bin"),
                                 asv_store)
         fileio.write_embeddings(os.path.join(args.out_dir, "cm_emb.bin"),
@@ -304,14 +297,9 @@ def _cmd_train(args):
         if args.log:  # keep the epochs that finished
             _write_log(args.log, exc.log)
         raise
-    config_echo = {
-        "architecture": cfg.architecture, "fusion_mode": cfg.fusion_mode,
-        "loss_variant": cfg.loss_variant, "optimizer": cfg.optimizer,
-        "init": cfg.init, "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size, "lr": cfg.lr, "seed": cfg.seed,
-        "alpha": cfg.alpha, "cost_model": _cost_model_json(cfg.cost_model),
-        "best_epoch": ckpt.epoch,
-    }
+    config_echo = {**dataclasses.asdict(cfg),
+                   "cost_model": _cost_model_json(cfg.cost_model),
+                   "best_epoch": ckpt.epoch}
     fileio.write_checkpoint(args.out, ckpt.model, config=config_echo,
                             dev_min_adcf=ckpt.dev_min_adcf,
                             dev_threshold=ckpt.dev_threshold)
@@ -367,7 +355,9 @@ def main(argv=None):
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
-        print(f"sasv {args.command}: error: {exc}", file=sys.stderr)
+        # str(KeyError) is the repr of its message: print the message
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"sasv {args.command}: error: {message}", file=sys.stderr)
         return 1
 
 

@@ -49,15 +49,16 @@ def label_codes(labels):
         raise ValueError(f"not a TrialLabel: {exc.args[0]!r}") from None
 
 
-def subsystem_task(codes, subsystem):
-    """(rows, y) for "asv" or "cm": a mask of the trials that teach the
-    subsystem and a float64 0/1 label per trial (only rows count).  ASV
-    learns target vs nontarget on bonafide trials (a spoof has no speaker
-    label); CM learns bonafide vs spoof on all trials."""
-    bonafide = codes != SPOOF
-    if subsystem == "asv":
-        return bonafide, (codes == TARGET).astype(np.float64)
-    return np.ones(codes.size, bool), bonafide.astype(np.float64)
+def subsystem_task(codes, task):
+    """(rows, y) for "sasv", "asv" or "cm": a mask of the trials that teach
+    the task and a float64 0/1 label per trial (only rows count).  SASV
+    learns target vs the rest on all trials; ASV learns target vs nontarget
+    on bonafide trials (a spoof has no speaker label); CM learns bonafide
+    vs spoof on all trials."""
+    if task == "cm":
+        return np.ones(codes.size, bool), (codes != SPOOF).astype(np.float64)
+    rows = codes != SPOOF if task == "asv" else np.ones(codes.size, bool)
+    return rows, (codes == TARGET).astype(np.float64)
 
 
 class ScoreTable:

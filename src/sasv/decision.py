@@ -58,6 +58,11 @@ def sigmoid(z):
     return float(out) if out.ndim == 0 else out
 
 
+def logit(p):
+    """log(p / (1 - p)) of a probability p, the inverse of sigmoid."""
+    return math.log(p) - math.log1p(-p)
+
+
 def logistic_loss(z, y):
     """Elementwise -log sigmoid(z) for y=1 and -log sigmoid(-z) for y=0,
     in the one stable form max(z, 0) - z y + log(1 + e^-|z|)."""
@@ -191,8 +196,8 @@ def asv_bayes_threshold(cost_model):
     """Spoof-free Bayes threshold log(Cfa_non/Cmiss) - logit(pi_tar)."""
     if cost_model.c_fa_non <= 0 or cost_model.c_miss_tar <= 0:
         raise ValueError("both ASV costs must be positive")
-    logit_pi = math.log(cost_model.pi_tar) - math.log(1.0 - cost_model.pi_tar)
-    return math.log(cost_model.c_fa_non / cost_model.c_miss_tar) - logit_pi
+    return math.log(cost_model.c_fa_non / cost_model.c_miss_tar) \
+        - logit(cost_model.pi_tar)
 
 
 def fuse(llr_asv, llr_cm, config):

@@ -67,6 +67,17 @@ def _open_text(path):
             raise
 
 
+def read_json(path):
+    """The JSON value in a UTF-8 file; FormatError naming path if it is not
+    UTF-8 or not JSON.  NaN and Infinity parse: callers check numbers."""
+    with _open_text(path) as f:
+        text = f.read()
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{path}: invalid JSON: {exc}") from None
+
+
 # ---------------------------------------------------------------- protocols
 
 def write_protocol(path, records):
@@ -194,9 +205,17 @@ def read_scores(path):
 # --------------------------------------------------------------- embeddings
 
 def write_embeddings(path, store):
+    """Write the store's vectors as float32; a vector with an entry that
+    float32 cannot hold raises FormatError naming its utterance."""
+    with np.errstate(over="ignore"):  # an overflow is named below
+        vectors = store.vectors.astype("<f4")
+    bad = ~np.isfinite(vectors).all(axis=1)
+    if bad.any():
+        raise FormatError(f"{path}: vector for {store.ids()[np.argmax(bad)]!r}"
+                          " has entries beyond the float32 range")
     parts = [EMBEDDING_MAGIC,
              struct.pack("<BII", EMBEDDING_VERSION, len(store), store.dim)]
-    for utt_id, values in zip(store.ids(), store.vectors.astype("<f4")):
+    for utt_id, values in zip(store.ids(), vectors):
         id_bytes = utt_id.encode("utf-8")
         if len(id_bytes) > 0xFFFF:
             raise FormatError(f"utterance id too long: {utt_id!r}")
@@ -252,7 +271,8 @@ def read_embeddings(path):
     values = np.frombuffer(b"".join(ranges), "<f4").reshape(-1, dim)
     # a repeated id or non-finite value before the fault comes first
     try:
-        store = EmbeddingStore(dim, ids, values.astype(np.float64))
+        with np.errstate(invalid="ignore"):  # a signalling NaN is named below
+            store = EmbeddingStore(dim, ids, values.astype(np.float64))
     except ValueError as exc:
         k = first_invalid_row(ids, values)[0]
         raise FormatError(f"{path}: entry {k}: {exc}") from exc
@@ -282,25 +302,18 @@ def _mlp_from_json(obj, where):
     if obj is None:
         return None
     try:
-        shapes = obj["shapes"]
-        weights = []
-        for shape, flat in zip(shapes, obj["weights"], strict=True):
-            arr = np.asarray(flat, dtype=np.float64)
-            if arr.size != shape[0] * shape[1]:
-                raise FormatError(
-                    f"{where}: weight array length {arr.size} does not match "
-                    f"declared shape {shape}")
-            weights.append(arr.reshape(shape))
-        biases = []
-        for shape, flat in zip(shapes, obj["biases"], strict=True):
-            arr = np.asarray(flat, dtype=np.float64)
-            if arr.size != shape[0]:
-                raise FormatError(
-                    f"{where}: bias array length {arr.size} does not match "
-                    f"declared shape {shape}")
-            biases.append(arr)
-        return MlpParams(weights, biases, list(obj["activations"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        arrays = {}
+        for key, kind, n in (("weights", "weight", 2), ("biases", "bias", 1)):
+            arrays[key] = []
+            for shape, flat in zip(obj["shapes"], obj[key], strict=True):
+                arr = np.asarray(flat, dtype=np.float64)
+                if arr.size != math.prod(shape[:n]):
+                    raise FormatError(
+                        f"{where}: {kind} array length {arr.size} does not "
+                        f"match declared shape {shape}")
+                arrays[key].append(arr.reshape(shape[:n]))
+        return MlpParams(*arrays.values(), list(obj["activations"]))
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, FormatError):
             raise
         raise FormatError(f"{where}: malformed MLP block: {exc}") from exc
@@ -342,11 +355,7 @@ def read_checkpoint(path):
     from .decision import CalibrationParams
     from .train import ARCHITECTURES, ModelParams
 
-    with open(path, encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != "sasv-checkpoint":
         raise FormatError(f"{path}: not a checkpoint file")
     arch = doc.get("architecture")
@@ -357,8 +366,8 @@ def read_checkpoint(path):
         model = ModelParams(
             architecture=arch,
             fusion_mode=doc["fusion_mode"],
-            d_asv=int(doc["d_asv"]),
-            d_cm=int(doc["d_cm"]),
+            d_asv=doc["d_asv"],
+            d_cm=doc["d_cm"],
             asv_mlp=_mlp_from_json(doc["asv_mlp"], f"{path}: asv_mlp"),
             w_asv=None if w_asv is None else np.asarray(w_asv,
                                                         dtype=np.float64),
@@ -370,12 +379,12 @@ def read_checkpoint(path):
             rho_logit=float(doc["rho_logit"]),
             tau=float(doc["tau"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+        model.validate()
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, FormatError):
             raise
         raise FormatError(f"{path}: malformed checkpoint field: {exc}") \
             from exc
-    model.validate()
     meta = {"config": doc.get("config"),
             "dev_min_adcf": doc.get("dev_min_adcf"),
             "dev_threshold": doc.get("dev_threshold")}

@@ -120,23 +120,38 @@ def soft_adcf(scores, labels, cfg):
     return loss, grad, grad_tau
 
 
+def _adcf_term(s, codes, weight, cfg, grad):
+    """Add weight x the soft a-DCF's score gradient into grad; returns the
+    weighted (loss, grad_tau), or zeros when weight is 0."""
+    if not weight > 0:
+        return 0.0, 0.0
+    loss, g, g_tau = soft_adcf(s, codes, cfg)
+    grad += weight * g
+    return weight * loss, weight * g_tau
+
+
+def _bce_term(x, codes, task, weight, grad):
+    """Add weight x the gradient of the mean logit-BCE of x over the rows
+    `core.subsystem_task` gives task into grad; returns the weighted loss,
+    or 0.0 when weight is 0."""
+    if not weight > 0:
+        return 0.0
+    rows, y = subsystem_task(codes, task)
+    if not np.any(rows):
+        raise ValueError(f"{task.upper()} BCE has no trials; the ASV term "
+                         "takes bonafide trials only")
+    loss, g = bce_logits_mean(x[rows], y[rows])
+    grad[rows] += weight * g
+    return weight * loss
+
+
 def combined_loss_v1(s_sasv, labels, weights, cfg):
     """beta1 * soft a-DCF + beta2 * mean BCE(sigmoid(s_sasv), y_sasv)."""
     s = np.asarray(s_sasv, dtype=np.float64)
     codes = label_codes(labels)
-    loss = 0.0
     grad = np.zeros_like(s)
-    grad_tau = 0.0
-    if weights.beta1 > 0:
-        l_adcf, g_adcf, g_tau = soft_adcf(s, codes, cfg)
-        loss += weights.beta1 * l_adcf
-        grad += weights.beta1 * g_adcf
-        grad_tau += weights.beta1 * g_tau
-    if weights.beta2 > 0:
-        y = (codes == TARGET).astype(np.float64)
-        l_bce, g_bce = bce_logits_mean(s, y)
-        loss += weights.beta2 * l_bce
-        grad += weights.beta2 * g_bce
+    loss, grad_tau = _adcf_term(s, codes, weights.beta1, cfg, grad)
+    loss += _bce_term(s, codes, "sasv", weights.beta2, grad)
     return loss, grad, grad_tau
 
 
@@ -147,28 +162,11 @@ def combined_loss_v2(llr_asv, llr_cm, s_sasv, labels, weights, cfg):
     its subsystem (for ASV, the bonafide ones).  Returns
     (loss, grad_s_sasv, grad_llr_asv, grad_llr_cm, grad_tau).
     """
-    s = np.asarray(s_sasv, dtype=np.float64)
-    la = np.asarray(llr_asv, dtype=np.float64)
-    lc = np.asarray(llr_cm, dtype=np.float64)
+    s, la, lc = (np.asarray(x, dtype=np.float64)
+                 for x in (s_sasv, llr_asv, llr_cm))
     codes = label_codes(labels)
-    loss = 0.0
-    grad_s = np.zeros_like(s)
-    grad_la = np.zeros_like(la)
-    grad_lc = np.zeros_like(lc)
-    grad_tau = 0.0
-    if weights.lambda1 > 0:
-        l_adcf, g_adcf, g_tau = soft_adcf(s, codes, cfg)
-        loss += weights.lambda1 * l_adcf
-        grad_s += weights.lambda1 * g_adcf
-        grad_tau += weights.lambda1 * g_tau
-    for task, weight, llr, grad in (("asv", weights.lambda2, la, grad_la),
-                                    ("cm", weights.lambda3, lc, grad_lc)):
-        if weight > 0:
-            rows, y = subsystem_task(codes, task)
-            if not np.any(rows):
-                raise ValueError(f"aux {task.upper()} BCE has no trials; "
-                                 "the ASV term takes bonafide trials only")
-            l_aux, g_aux = bce_logits_mean(llr[rows], y[rows])
-            loss += weight * l_aux
-            grad[rows] += weight * g_aux
+    grad_s, grad_la, grad_lc = (np.zeros_like(x) for x in (s, la, lc))
+    loss, grad_tau = _adcf_term(s, codes, weights.lambda1, cfg, grad_s)
+    loss += _bce_term(la, codes, "asv", weights.lambda2, grad_la)
+    loss += _bce_term(lc, codes, "cm", weights.lambda3, grad_lc)
     return loss, grad_s, grad_la, grad_lc, grad_tau

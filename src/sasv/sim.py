@@ -68,21 +68,24 @@ class ScoreSimConfig:
     def __post_init__(self):
         for label in LABELS:
             count = self.counts[label]
-            if not isinstance(count, numbers.Integral) or count < 1:
+            if isinstance(count, bool) \
+                    or not isinstance(count, numbers.Integral) or count < 1:
                 raise ValueError(f"count for {label.value} must be an "
                                  "integer >= 1")
             try:
                 mean = np.asarray(self.means[label], dtype=np.float64)
                 cov = np.asarray(self.covs[label], dtype=np.float64)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ValueError(f"mean and covariance for {label.value} "
                                  "must be numbers") from None
             if mean.shape != (2,) or not np.all(np.isfinite(mean)):
                 raise ValueError(f"mean for {label.value} must be two "
                                  "finite numbers")
-            if cov.shape != (2, 2) or not np.allclose(cov, cov.T):
+            with np.errstate(all="ignore"):  # inf or a huge asymmetry
+                symmetric = cov.shape == (2, 2) and np.allclose(cov, cov.T)
+            if not (symmetric and np.all(np.isfinite(cov))):
                 raise ValueError(f"covariance for {label.value} must be "
-                                 "symmetric 2x2")
+                                 "finite symmetric 2x2")
             if np.any(np.linalg.eigvalsh(cov) <= 0):
                 raise ValueError(f"covariance for {label.value} is not "
                                  "positive definite")
@@ -152,7 +155,8 @@ class EmbeddingSimConfig:
             kind = numbers.Integral if isinstance(f.default, int) \
                 else numbers.Real
             value = getattr(self, f.name)
-            if not isinstance(value, kind) or not abs(value) < math.inf:
+            if isinstance(value, bool) or not isinstance(value, kind) \
+                    or not abs(value) < math.inf:
                 raise ValueError(f"{f.name} must be a finite {f.type}")
         if self.d_asv < 2 or self.d_cm < 2:
             raise ValueError("embedding dims must be >= 2")

@@ -11,7 +11,7 @@ import numpy as np
 from .core import DEFAULT_COST_MODEL, NONTARGET, SPOOF, TARGET, \
     CostModel, label_codes, subsystem_task
 from .decision import CalibrationParams, FusionConfig, calibrate, fuse, \
-    fuse_vjp, sigmoid, _fuse_nonlinear, _lse_terms
+    fuse_vjp, logit, sigmoid, _fuse_nonlinear, _lse_terms
 from .losses import LossWeights, SoftAdcfConfig, combined_loss_v1, \
     combined_loss_v2
 from .metrics import min_adcf
@@ -21,10 +21,6 @@ from .nn import DEFAULT_HIDDEN, MlpParams, MlpWork, cosine_score, \
 from .sim import make_rng
 
 ARCHITECTURES = ("mlp-mlp", "cosine-mlp", "wcos-mlp")
-
-
-def _logit(p):
-    return math.log(p) - math.log1p(-p)
 
 
 # ------------------------------------------------------------------- model
@@ -52,6 +48,9 @@ class ModelParams:
             raise ValueError(f"unknown architecture {self.architecture!r}")
         if self.fusion_mode not in ("linear", "nonlinear"):
             raise ValueError(f"unknown fusion mode {self.fusion_mode!r}")
+        if not all(isinstance(d, numbers.Integral) and d > 0
+                   for d in (self.d_asv, self.d_cm)):
+            raise ValueError("d_asv and d_cm must be positive integers")
         if self.architecture == "mlp-mlp":
             if self.asv_mlp is None or \
                     self.asv_mlp.input_dim != 2 * self.d_asv:
@@ -60,8 +59,11 @@ class ModelParams:
         if self.architecture == "wcos-mlp":
             if self.w_asv is None or self.w_asv.shape != (self.d_asv,):
                 raise ValueError("wcos-mlp needs a weight vector of ASV dim")
-        if self.cm_mlp.input_dim != self.d_asv + self.d_cm:
+        if self.cm_mlp is None or \
+                self.cm_mlp.input_dim != self.d_asv + self.d_cm:
             raise ValueError("CM MLP input dim must be d_asv + d_cm")
+        if not (math.isfinite(self.rho_logit) and math.isfinite(self.tau)):
+            raise ValueError("rho_logit and tau must be finite")
 
     @property
     def rho_tilde(self):
@@ -144,7 +146,7 @@ def init_model(cfg, d_asv, d_cm, rng=None):
         cm_mlp=cm_mlp,
         asv_mlp=asv_mlp,
         w_asv=w_asv,
-        rho_logit=_logit(min(max(cfg.cost_model.rho, 1e-6), 1.0 - 1e-6)),
+        rho_logit=logit(min(max(cfg.cost_model.rho, 1e-6), 1.0 - 1e-6)),
         tau=0.0,
     )
     model.validate()

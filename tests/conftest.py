@@ -8,10 +8,10 @@ import struct
 
 import numpy as np
 
-from sasv.core import TrialLabel
+from sasv.core import TARGET, TrialLabel, subsystem_task
 from sasv.decision import sigmoid
 from sasv.fileio import EMBEDDING_MAGIC, EMBEDDING_VERSION, FormatError
-from sasv.losses import _class_masks
+from sasv.losses import _class_masks, bce_logits_mean, soft_adcf
 from sasv.metrics import split_by_class
 from sasv.sim import make_rng
 
@@ -132,6 +132,14 @@ def per_trial_simulate_embeddings(cfg):
     return asv, cm, trials
 
 
+# An embedding file of one float32 signalling NaN (bits 0x7f800001): its
+# cast to float64 sets numpy's invalid-value flag.
+SNAN_EMBEDDING_FILE = (EMBEDDING_MAGIC
+                       + struct.pack("<BII", EMBEDDING_VERSION, 1, 1)
+                       + struct.pack("<H", 1) + b"a"
+                       + struct.pack("<I", 0x7F800001))
+
+
 def per_record_read_embeddings(path):
     """Read an embedding file one record at a time; (dim, {id: vector}).
 
@@ -164,7 +172,9 @@ def per_record_read_embeddings(path):
         except UnicodeDecodeError:
             raise FormatError(f"{path}: entry {k} id is not UTF-8") from None
         values = np.frombuffer(take(4 * dim, f"entry {k} values"),
-                               dtype="<f4").astype(np.float64)
+                               dtype="<f4")
+        with np.errstate(invalid="ignore"):  # a signalling NaN, named below
+            values = values.astype(np.float64)
         if utt_id in vectors:
             raise FormatError(f"{path}: entry {k}: duplicate utterance id "
                               f"{utt_id!r}")
@@ -306,3 +316,48 @@ def inline_weight_min_adcf(scores, labels, cm, normalized=True):
         with np.errstate(over="ignore"):
             value /= inline_default_system_cost(cm)
     return float(value[int(np.argmin(value))])
+
+
+def inline_combined_loss_v1(s_sasv, codes, weights, cfg):
+    """losses.combined_loss_v1 with both weighted terms written out and the
+    SASV BCE target taken inline."""
+    s = np.asarray(s_sasv, dtype=np.float64)
+    loss = 0.0
+    grad = np.zeros_like(s)
+    grad_tau = 0.0
+    if weights.beta1 > 0:
+        l_adcf, g_adcf, g_tau = soft_adcf(s, codes, cfg)
+        loss += weights.beta1 * l_adcf
+        grad += weights.beta1 * g_adcf
+        grad_tau += weights.beta1 * g_tau
+    if weights.beta2 > 0:
+        y = (codes == TARGET).astype(np.float64)
+        l_bce, g_bce = bce_logits_mean(s, y)
+        loss += weights.beta2 * l_bce
+        grad += weights.beta2 * g_bce
+    return loss, grad, grad_tau
+
+
+def inline_combined_loss_v2(llr_asv, llr_cm, s_sasv, codes, weights, cfg):
+    """losses.combined_loss_v2 with each weighted term written out."""
+    s = np.asarray(s_sasv, dtype=np.float64)
+    la = np.asarray(llr_asv, dtype=np.float64)
+    lc = np.asarray(llr_cm, dtype=np.float64)
+    loss = 0.0
+    grad_s = np.zeros_like(s)
+    grad_la = np.zeros_like(la)
+    grad_lc = np.zeros_like(lc)
+    grad_tau = 0.0
+    if weights.lambda1 > 0:
+        l_adcf, g_adcf, g_tau = soft_adcf(s, codes, cfg)
+        loss += weights.lambda1 * l_adcf
+        grad_s += weights.lambda1 * g_adcf
+        grad_tau += weights.lambda1 * g_tau
+    for task, weight, llr, grad in (("asv", weights.lambda2, la, grad_la),
+                                    ("cm", weights.lambda3, lc, grad_lc)):
+        if weight > 0:
+            rows, y = subsystem_task(codes, task)
+            l_aux, g_aux = bce_logits_mean(llr[rows], y[rows])
+            loss += weight * l_aux
+            grad[rows] += weight * g_aux
+    return loss, grad_s, grad_la, grad_lc, grad_tau

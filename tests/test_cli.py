@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import math
@@ -10,10 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import SNAN_EMBEDDING_FILE
 from sasv import fileio
 from sasv.cli import main
 from sasv.core import TrialLabel
 from sasv.decision import fuse_nonlinear
+from sasv.nn import init_mlp
+from sasv.sim import make_rng
+from sasv.train import ModelParams
 
 
 def write_worked_scores(path):
@@ -135,14 +140,28 @@ class TestSimulate:
         ("scores", {"means": {"target": 5}}, "target"),
         ("scores", {"covs": {"spoof": {"a": 1}}}, "spoof"),
         ("scores", {"counts": {"target": "x"}}, "count for target"),
+        ("scores", {"counts": {"target": True}}, "count for target"),
+        ("scores", {"means": {"target": [10 ** 400, 0]}}, "target"),
+        ("scores", {"covs": {"nontarget": [[1, 1e308], [-1e308, 1]]}},
+         "covariance for nontarget must be finite symmetric 2x2"),
+        ("scores", {"covs": {"target": [[math.inf, 0], [0, 1]]}},
+         "covariance for target must be finite symmetric 2x2"),
+        # values the simulator computes but float32 cannot hold, or that
+        # overflow float64 itself
+        ("embeddings", {"cm_margin": 1e40},
+         "cm_emb.bin: vector for 'utt000400' has entries beyond the "
+         "float32 range"),
+        ("embeddings", {"sigma_w": 1e308}, "has non-finite entries"),
+        ("embeddings", {"n_nontarget": False}, "n_nontarget"),
     ])
     def test_bad_config_is_one_line_error(self, tmp_path, capsys, mode,
                                           config, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
-        rc = main(["simulate", "--mode", mode, "--config", str(cfg),
-                   "--out-dir", str(tmp_path / "sim")])
-        assert rc == 1
+        rc, caught = run_quietly(["simulate", "--mode", mode,
+                                  "--config", str(cfg),
+                                  "--out-dir", str(tmp_path / "sim")])
+        assert (rc, caught) == (1, [])
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err, err
         assert "Traceback" not in err
@@ -830,3 +849,118 @@ class TestEdgeValueProperties:
                     fused = [float(line.split("\t")[2]) for line in f]
                 assert len(fused) == 6
                 assert all(map(math.isfinite, fused))
+
+
+class TestInputFaults:
+    """Inputs the program cannot use end in one line and no warning."""
+
+    def test_train_on_a_signalling_nan_embedding(self, tmp_path, capsys):
+        emb = tmp_path / "emb.bin"
+        emb.write_bytes(SNAN_EMBEDDING_FILE)
+        rc, caught = run_quietly([
+            "train", "--asv-emb", str(emb), "--cm-emb", str(emb),
+            "--train-proto", str(tmp_path / "p.tsv"),
+            "--dev-proto", str(tmp_path / "p.tsv"),
+            "--out", str(tmp_path / "ckpt.json")])
+        assert (rc, caught) == (1, [])
+        assert capsys.readouterr().err == (
+            f"sasv train: error: {emb}: entry 0: vector for 'a' has "
+            "non-finite entries\n")
+
+    def test_unknown_enrolment_is_printed_without_quotes(self, tmp_path,
+                                                         capsys):
+        argv = make_train_sim(tmp_path, 10)
+        proto = tmp_path / "ghost.tsv"
+        proto.write_text("ghost\tutt000000\ttarget\n")
+        argv[argv.index("--train-proto") + 1] = str(proto)
+        rc = main([*argv, "--out", str(tmp_path / "ckpt.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "sasv train: error: trial references unknown embedding: "
+            "ghost/utt000000\n")
+
+
+# Every integer a generated JSON value holds lies in [-50, 50], so no count
+# or dimension asks for a large array.
+JSON_WORDS = ("target", "nontarget", "spoof", "wcos-mlp", "mlp-mlp",
+              "linear", "nonlinear", "w0", "w1", "means", "covs", "counts",
+              "n_target", "d_asv", "sasv-checkpoint")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-50, 50) | st.floats()
+    | st.text(max_size=4) | st.sampled_from(JSON_WORDS),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(JSON_WORDS) | st.text(max_size=4),
+                      kids, max_size=4),
+    max_leaves=12)
+
+JSON_TARGETS = {
+    "calibration": ({"w0": 0.5, "w1": 2.0}, "fuse"),
+    "scores-config": ({"means": {"target": [3.0, 3.0]},
+                       "covs": {"spoof": [[1.0, 0.5], [0.5, 2.0]]},
+                       "counts": {"target": 5, "nontarget": 4,
+                                  "spoof": 3}}, "scores"),
+    "embeddings-config": ({"n_speakers": 3, "d_asv": 4, "d_cm": 3,
+                           "n_target": 5, "n_nontarget": 4, "n_spoof": 3,
+                           "sigma_w": 0.2, "delta": 0.5, "cm_margin": 1.5},
+                          "embeddings"),
+    # a wcos-mlp checkpoint with a 3-unit CM MLP, small enough to edit
+    "checkpoint": (json.loads(fileio.checkpoint_to_json(ModelParams(
+        "wcos-mlp", "nonlinear", 2, 2, init_mlp(4, (3,), make_rng(0)),
+        w_asv=np.ones(2), rho_logit=0.5, tau=-0.25))), "grid"),
+}
+
+
+@st.composite
+def json_file(draw, valid):
+    """Bytes of a random JSON value, random bytes, a valid document with one
+    entry replaced or deleted, or its text with a few bytes replaced."""
+    kind = draw(st.sampled_from(["value", "bytes", "entry", "text"]))
+    if kind == "value":
+        return json.dumps(draw(JSON_VALUES)).encode()
+    if kind == "bytes":
+        return draw(st.binary(max_size=40))
+    if kind == "text":
+        text = json.dumps(valid).encode()
+        start = draw(st.integers(0, len(text)))
+        stop = draw(st.integers(start, min(start + 4, len(text))))
+        return text[:start] + draw(st.binary(max_size=4)) + text[stop:]
+    doc = copy.deepcopy(valid)
+    node = doc
+    while True:
+        key = draw(st.sampled_from(
+            list(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if not (isinstance(child, (dict, list)) and child
+                and draw(st.booleans())):
+            break
+        node = child
+    if isinstance(node, dict) and draw(st.booleans()):
+        del node[key]
+    else:
+        node[key] = draw(JSON_VALUES)
+    return json.dumps(doc).encode()
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), target=st.sampled_from(sorted(JSON_TARGETS)))
+def test_json_inputs_exit_cleanly(data, target):
+    """Whatever a JSON input holds, the command exits 0 or 1 with at most
+    one line on stderr and no warning."""
+    valid, use = JSON_TARGETS[target]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.json")
+        with open(path, "wb") as f:
+            f.write(data.draw(json_file(valid)))
+        if use == "fuse":
+            scores = os.path.join(tmp, "s.tsv")
+            write_worked_scores(scores)
+            argv = ["fuse", "--asv", scores, "--cm", scores,
+                    "--asv-calib", path, "--out", os.path.join(tmp, "f.tsv")]
+        elif use == "grid":
+            argv = ["grid", "--ckpt", path, "--na", "3", "--nc", "3",
+                    "--out", os.path.join(tmp, "g.csv")]
+        else:
+            argv = ["simulate", "--mode", use, "--config", path,
+                    "--out-dir", os.path.join(tmp, "sim")]
+        rc, caught, err = run_captured(argv)
+    assert_clean_exit(rc, caught, err)

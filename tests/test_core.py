@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sasv.core import (CostModel, DEFAULT_COST_MODEL, EmbeddingStore,
-                       TrialLabel, TrialRecord, derive_beta, derive_rho)
+from sasv.core import (NONTARGET, SPOOF, TARGET, CostModel,
+                       DEFAULT_COST_MODEL, EmbeddingStore, TrialLabel,
+                       TrialRecord, derive_beta, derive_rho, subsystem_task)
 
 
 class TestTrialLabel:
@@ -16,6 +17,17 @@ class TestTrialLabel:
     def test_from_string_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown trial label"):
             TrialLabel.from_string("bonafide")
+
+
+@pytest.mark.parametrize("task,rows,y", [
+    ("sasv", [1, 1, 1], [1, 0, 0]),   # target vs the rest, all trials
+    ("asv", [1, 1, 0], [1, 0, 0]),    # target vs nontarget, bonafide only
+    ("cm", [1, 1, 1], [1, 1, 0])])    # bonafide vs spoof, all trials
+def test_subsystem_task(task, rows, y):
+    codes = np.array([TARGET, NONTARGET, SPOOF], np.int8)
+    got_rows, got_y = subsystem_task(codes, task)
+    assert got_rows.tolist() == [bool(r) for r in rows]
+    assert got_y.dtype == np.float64 and got_y.tolist() == y
 
 
 class TestTrialRecord:

@@ -6,8 +6,8 @@ import struct
 
 import numpy as np
 import pytest
-from conftest import per_record_read_embeddings
-from hypothesis import given, settings, strategies as st
+from conftest import SNAN_EMBEDDING_FILE, per_record_read_embeddings
+from hypothesis import example, given, settings, strategies as st
 
 from sasv import fileio
 from sasv.core import EmbeddingStore, TrialLabel, TrialRecord
@@ -237,6 +237,7 @@ def emb_work(tmp_path_factory):
 
 @settings(max_examples=200, deadline=None)
 @given(data=embedding_files())
+@example(data=SNAN_EMBEDDING_FILE)
 def test_bulk_reader_matches_per_record_reader(emb_work, data):
     path = emb_work / "emb.bin"
     path.write_bytes(data)
@@ -253,6 +254,39 @@ def test_bulk_reader_matches_per_record_reader(emb_work, data):
     assert np.array_equal(
         store.vectors.view(np.uint64),
         np.array(list(vectors.values())).reshape(-1, dim).view(np.uint64))
+
+
+def test_write_embeddings_names_a_vector_float32_cannot_hold(tmp_path):
+    store = EmbeddingStore(2, ["a", "b", "c"],
+                           [[1.0, 2.0], [1e39, 0.0], [-1e300, 0.0]])
+    path = tmp_path / "emb.bin"
+    with pytest.raises(FormatError) as exc:
+        write_embeddings(path, store)
+    assert str(exc.value) == (f"{path}: vector for 'b' has entries beyond "
+                              "the float32 range")
+    assert not path.exists()
+
+
+class TestReadJson:
+    def test_value(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text('{"a": [1, 2.5, NaN]}')
+        doc = fileio.read_json(path)
+        assert doc["a"][:2] == [1, 2.5] and math.isnan(doc["a"][2])
+
+    @pytest.mark.parametrize("data,message", [
+        (b'{"a": 1', "invalid JSON: Expecting ',' delimiter"),
+        (b"", "invalid JSON: Expecting value"),
+        (b"[" * 100000, "invalid JSON: maximum recursion depth exceeded"),
+        (b"1" * 5000, "invalid JSON: Exceeds the limit"),
+        (b'{"a": "\xff"}', ":1: not UTF-8 text")])
+    def test_faults_name_the_path(self, tmp_path, data, message):
+        path = tmp_path / "x.json"
+        path.write_bytes(data)
+        with pytest.raises(FormatError) as exc:
+            fileio.read_json(path)
+        assert str(exc.value).startswith(f"{path}")
+        assert message in str(exc.value)
 
 
 class TestCheckpoint:
@@ -331,6 +365,36 @@ class TestCheckpoint:
         del doc["tau"]
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match="malformed checkpoint"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("d_asv", "1e400", "d_asv and d_cm must be positive integers"),
+        ("d_asv", "2.5", "d_asv and d_cm must be positive integers"),
+        ("d_cm", "0", "d_asv and d_cm must be positive integers"),
+        ("fusion_mode", '"x"', "unknown fusion mode 'x'"),
+        ("tau", "NaN", "rho_logit and tau must be finite"),
+        ("rho_logit", "1e400", "rho_logit and tau must be finite"),
+        ("cm_mlp", "null", "CM MLP input dim must be d_asv + d_cm"),
+        ("rho_logit", "1" + "0" * 400, "int too large to convert to float")])
+    def test_bad_field_is_one_error_naming_the_path(self, tmp_path, field,
+                                                     value, message):
+        path = tmp_path / "ckpt.json"
+        write_checkpoint(path, self.make_model())
+        doc = json.loads(path.read_text())
+        doc[field] = "VALUE"
+        path.write_text(json.dumps(doc).replace('"VALUE"', value))
+        with pytest.raises(FormatError) as exc:
+            read_checkpoint(path)
+        assert str(exc.value) == \
+            f"{path}: malformed checkpoint field: {message}"
+
+    def test_one_dimensional_weight_shape(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        write_checkpoint(path, self.make_model())
+        doc = json.loads(path.read_text())
+        doc["cm_mlp"]["shapes"][0] = [doc["cm_mlp"]["shapes"][0][0]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="cm_mlp: weight array length"):
             read_checkpoint(path)
 
     def test_unknown_architecture(self, tmp_path):

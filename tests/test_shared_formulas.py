@@ -2,22 +2,27 @@
 
 The oracles in conftest are those copies: the stable logistic loss written
 out, bayes_accept's own log-sum-exp, the unweighted cosine and the a-DCF's
-cost x prior weights written out.
+cost x prior weights written out, the combined losses with each weighted
+term written out, and the logit of the Bayes threshold written with log.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import (inline_bce_logits_mean, inline_default_system_cost,
+from conftest import (inline_bce_logits_mean, inline_combined_loss_v1,
+                      inline_combined_loss_v2, inline_default_system_cost,
                       inline_logistic_nll, inline_weight_adcf,
                       inline_weight_min_adcf, inline_weight_soft_adcf,
                       libm_bce_logit, two_term_bayes_accept,
                       unweighted_cosine_score)
 from sasv.core import CostModel
-from sasv.decision import _logistic_nll, bayes_accept
-from sasv.losses import SoftAdcfConfig, bce, bce_logits_mean, soft_adcf
+from sasv.decision import _logistic_nll, asv_bayes_threshold, \
+    bayes_accept, logit, sigmoid
+from sasv.losses import LossWeights, SoftAdcfConfig, bce, bce_logits_mean, \
+    combined_loss_v1, combined_loss_v2, soft_adcf
 from sasv.metrics import adcf_at, default_system_cost, min_adcf
 from sasv.nn import cosine_score
 
@@ -188,3 +193,49 @@ class TestAdcfWeights:
         assert adcf_at(scores, codes, report.min_threshold, cm,
                        normalized) == inline_weight_adcf(
             cm, rates.p_miss_tar, rates.p_fa_non, rates.p_fa_spf, normalized)
+
+
+def same_bits(new, old):
+    return all(np.asarray(a).tobytes() == np.asarray(b).tobytes()
+               for a, b in zip(new, old, strict=True))
+
+
+WEIGHT = st.sampled_from([0.0, 0.3, 1.0, 2.5])
+
+
+class TestCombinedLosses:
+    @settings(max_examples=200, deadline=None)
+    @given(cm=cost_models(), data=labelled_scores(st.floats(-50.0, 50.0)),
+           llrs=st.lists(st.floats(-50.0, 50.0), min_size=86, max_size=86),
+           tau=st.floats(-10.0, 10.0), weights=st.tuples(*[WEIGHT] * 5))
+    def test_terms_give_the_bits_of_the_written_out_losses(
+            self, cm, data, llrs, tau, weights):
+        assume(any(weights[:2]) and any(weights[2:]))
+        w = LossWeights(*weights)
+        cfg = SoftAdcfConfig(cm, tau=tau,
+                             normalized=inline_default_system_cost(cm) > 0)
+        s, codes = data
+        la, lc = np.array(llrs[:s.size]), np.array(llrs[-s.size:])
+        assert same_bits(combined_loss_v1(s, codes, w, cfg),
+                         inline_combined_loss_v1(s, codes, w, cfg))
+        assert same_bits(combined_loss_v2(la, lc, s, codes, w, cfg),
+                         inline_combined_loss_v2(la, lc, s, codes, w, cfg))
+
+
+class TestLogit:
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(-30.0, 2.0))
+    def test_inverts_sigmoid(self, x):
+        # above 2, 1 - sigmoid(x) has lost too many bits to invert
+        assert logit(sigmoid(x)) == pytest.approx(x, rel=1e-9, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cm=cost_models(miss_positive=True))
+    def test_bayes_threshold_moves_at_most_its_last_bits(self, cm):
+        # log(1 - p) rounds 1 - p first; log1p(-p) does not
+        assume(cm.c_fa_non > 0)
+        log_cost = math.log(cm.c_fa_non / cm.c_miss_tar)
+        new = asv_bayes_threshold(cm)
+        old = log_cost - (math.log(cm.pi_tar) - math.log(1.0 - cm.pi_tar))
+        scale = 1.0 + abs(log_cost) + abs(logit(cm.pi_tar))
+        assert abs(new - old) <= 4 * math.ulp(scale)
