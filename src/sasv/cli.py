@@ -181,10 +181,13 @@ def _cmd_simulate(args):
         cfg = EmbeddingSimConfig(**overrides, seed=args.seed)
         with np.errstate(all="ignore"):  # the store names a non-finite row
             asv_store, cm_store, trials = simulate_embeddings(cfg)
-        fileio.write_embeddings(os.path.join(args.out_dir, "asv_emb.bin"),
-                                asv_store)
-        fileio.write_embeddings(os.path.join(args.out_dir, "cm_emb.bin"),
-                                cm_store)
+        paths = [os.path.join(args.out_dir, name)
+                 for name in ("asv_emb.bin", "cm_emb.bin")]
+        # both files are checked before either is written
+        blobs = [fileio.embedding_bytes(path, store)
+                 for path, store in zip(paths, (asv_store, cm_store))]
+        for path, blob in zip(paths, blobs):
+            fileio._atomic_write(path, blob, mode="wb")
         fileio.write_protocol(os.path.join(args.out_dir, "protocol.tsv"),
                               trials)
     return 0

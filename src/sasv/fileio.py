@@ -205,8 +205,14 @@ def read_scores(path):
 # --------------------------------------------------------------- embeddings
 
 def write_embeddings(path, store):
-    """Write the store's vectors as float32; a vector with an entry that
-    float32 cannot hold raises FormatError naming its utterance."""
+    """Write the store's vectors as float32 (see `embedding_bytes`)."""
+    _atomic_write(path, embedding_bytes(path, store), mode="wb")
+
+
+def embedding_bytes(path, store):
+    """The bytes of an embedding file at path holding the store's vectors as
+    float32; a vector with an entry that float32 cannot hold raises
+    FormatError naming path and its utterance."""
     with np.errstate(over="ignore"):  # an overflow is named below
         vectors = store.vectors.astype("<f4")
     bad = ~np.isfinite(vectors).all(axis=1)
@@ -221,7 +227,7 @@ def write_embeddings(path, store):
             raise FormatError(f"utterance id too long: {utt_id!r}")
         parts += (struct.pack("<H", len(id_bytes)), id_bytes,
                   values.tobytes())
-    _atomic_write(path, b"".join(parts), mode="wb")
+    return b"".join(parts)
 
 
 def read_embeddings(path):

@@ -117,10 +117,12 @@ class MlpWork:
     MLP shape.  A call on n inputs works in views of
     the first n rows, so one set serves every batch of a training phase.
     What a call returns (scores, tape, gradients) lives in these buffers and
-    stays valid until the next call with the same work.
+    stays valid until the next call with the same work.  grads, if given, is
+    a (weights, biases) pair of lists of float64 arrays shaped as params'
+    that take the gradients instead of fresh buffers.
     """
 
-    def __init__(self, params, rows):
+    def __init__(self, params, rows, grads=None):
         widths = [w.shape[0] for w in params.weights]
         hidden = max(widths[:-1], default=0)
         self.rows = rows
@@ -130,8 +132,10 @@ class MlpWork:
         # C-contiguous for every hidden width k
         self.pre = np.empty(rows * hidden)
         self.slope = np.empty(rows * hidden)
-        self.grad_w = [np.empty_like(w) for w in params.weights]
-        self.grad_b = [np.empty_like(b) for b in params.biases]
+        if grads is None:
+            grads = ([np.empty_like(w) for w in params.weights],
+                     [np.empty_like(b) for b in params.biases])
+        self.grad_w, self.grad_b = grads
 
 
 def _work_for(params, n, work):

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextvars
 import math
 import numbers
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -64,6 +66,9 @@ class ModelParams:
             raise ValueError("CM MLP input dim must be d_asv + d_cm")
         if not (math.isfinite(self.rho_logit) and math.isfinite(self.tau)):
             raise ValueError("rho_logit and tau must be finite")
+        for key, value in _param_refs(self).items():
+            if not np.isfinite(value).all():
+                raise ValueError(f"{key} must be finite")
 
     @property
     def rho_tilde(self):
@@ -155,30 +160,24 @@ def init_model(cfg, d_asv, d_cm, rng=None):
 
 # -------------------------------------------------------------- optimizers
 
-def _descend(params, key, step):
-    """params[key] -= step: in place for an array, rebinding a scalar."""
-    p = params[key]
-    if isinstance(p, np.ndarray):
-        p -= step
-    else:
-        params[key] = p - step
+def _check_shapes(p, g):
+    if np.shape(g) != np.shape(p):
+        raise ValueError(f"gradient shape {np.shape(g)} does not match "
+                         f"parameter shape {np.shape(p)}")
 
 
-def sgd_step(params, grads, lr):
-    """p <- p - lr * g over a name->array dict; arrays change in place."""
-    for key, p in params.items():
-        g = grads[key]
-        if np.shape(g) != np.shape(p):
-            raise ValueError(f"gradient shape mismatch for {key!r}")
-        _descend(params, key, lr * g)
-    return params
+def sgd_step(p, g, lr):
+    """p -= lr * g over a float64 array, in place; returns p."""
+    _check_shapes(p, g)
+    p -= lr * g
+    return p
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class OptimizerState:
-    """SGD or Adam over a flat name->array parameter dict."""
+    """SGD or Adam over one float64 parameter array and its gradient."""
 
     def __init__(self, kind, lr):
         if kind not in ("sgd", "adam"):
@@ -188,53 +187,46 @@ class OptimizerState:
         self.kind = kind
         self.lr = lr
         self.step_count = 0
-        self.m = {}
-        self.v = {}
-        self.scratch = {}   # two work arrays per parameter for adam_step
+        self.buffers = None  # Adam's m and v, and two work arrays
 
-    def step(self, params, grads):
+    def step(self, p, g):
+        """Update p in place from its gradient g; returns p."""
         if self.kind == "sgd":
-            return sgd_step(params, grads, self.lr)
-        return adam_step(params, grads, self)
+            return sgd_step(p, g, self.lr)
+        return adam_step(p, g, self)
 
 
-def adam_step(params, grads, state):
-    """Standard bias-corrected Adam update; arrays change in place.
+def adam_step(p, g, state):
+    """Standard bias-corrected Adam update of p, in place; returns p.
 
     m, v and the step are computed in place, in the operation order of
     m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g and
     p -= (lr m_hat) / (sqrt(v_hat) + eps).
     """
+    _check_shapes(p, g)
     state.step_count += 1
     t = state.step_count
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    for key, p in params.items():
-        g = np.asarray(grads[key], dtype=np.float64)
-        if g.shape != np.shape(p):
-            raise ValueError(f"gradient shape mismatch for {key!r}")
-        if key not in state.m:
-            state.m[key] = np.zeros_like(g)
-            state.v[key] = np.zeros_like(g)
-            state.scratch[key] = (np.empty_like(g), np.empty_like(g))
-        m, v = state.m[key], state.v[key]
-        step, denom = state.scratch[key]
-        m *= b1
-        m += np.multiply(g, 1.0 - b1, out=step)
-        v *= b2
-        np.multiply(g, 1.0 - b2, out=denom)
-        denom *= g
-        v += denom
-        np.divide(m, 1.0 - b1 ** t, out=step)
-        step *= state.lr
-        np.divide(v, 1.0 - b2 ** t, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += ADAM_EPS
-        step /= denom
-        _descend(params, key, step)
-    return params
+    if state.buffers is None:
+        state.buffers = tuple(np.zeros_like(p) for _ in range(4))
+    m, v, step, denom = state.buffers
+    m *= b1
+    m += np.multiply(g, 1.0 - b1, out=step)
+    v *= b2
+    np.multiply(g, 1.0 - b2, out=denom)
+    denom *= g
+    v += denom
+    np.divide(m, 1.0 - b1 ** t, out=step)
+    step *= state.lr
+    np.divide(v, 1.0 - b2 ** t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    step /= denom
+    p -= step
+    return p
 
 
-# --------------------------------------------------- parameter dict plumbing
+# ------------------------------------------------------------- parameters
 
 def _mlp_into_dict(prefix, mlp, out):
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
@@ -242,13 +234,19 @@ def _mlp_into_dict(prefix, mlp, out):
         out[f"{prefix}.b{i}"] = b
 
 
+def _mlp_arrays(named, prefix, n_layers):
+    """(weights, biases) of an MLP from a dict `_mlp_into_dict` filled."""
+    return ([named[f"{prefix}.w{i}"] for i in range(n_layers)],
+            [named[f"{prefix}.b{i}"] for i in range(n_layers)])
+
+
 def _param_refs(model, branch="all"):
     """Flat name->parameter dict holding the model's own arrays.
 
-    Scalars (calibrations, rho_logit, tau) are float64 copies; after an
-    optimizer step `apply_dict` writes them back.  branch selects "all",
-    "asv" (ASV head + its calibration) or "cm" (CM MLP + its calibration),
-    the latter two for pretraining.
+    Scalars (calibrations, rho_logit, tau) are float64 copies.  branch
+    selects "all", "asv" (ASV head + its calibration) or "cm" (CM MLP + its
+    calibration), the latter two for pretraining.  The order of the entries
+    is the layout of a `_ParamVector`.
     """
     out = {}
     if branch in ("all", "asv"):
@@ -275,6 +273,17 @@ def trainable_dict(model, branch="all"):
             for key, value in _param_refs(model, branch).items()}
 
 
+def _store_scalars(model, pdict):
+    """Set the calibrations, rho_logit and tau that pdict holds."""
+    for calib in ("asv_calib", "cm_calib"):
+        if f"{calib}.w0" in pdict:
+            setattr(model, calib, CalibrationParams(
+                float(pdict[f"{calib}.w0"]), float(pdict[f"{calib}.w1"])))
+    for key in ("rho_logit", "tau"):
+        if key in pdict:
+            setattr(model, key, float(pdict[key]))
+
+
 def apply_dict(model, pdict):
     """Write a parameter dict into the model; keys it lacks are untouched.
 
@@ -288,14 +297,46 @@ def apply_dict(model, pdict):
             if np.shape(value) != own.shape:
                 raise ValueError(f"shape mismatch for {key!r}")
             own[...] = value
-    for calib in ("asv_calib", "cm_calib"):
-        if f"{calib}.w0" in pdict:
-            setattr(model, calib, CalibrationParams(
-                float(pdict[f"{calib}.w0"]), float(pdict[f"{calib}.w1"])))
-    for key in ("rho_logit", "tau"):
-        if key in pdict:
-            setattr(model, key, float(pdict[key]))
+    _store_scalars(model, pdict)
     return model
+
+
+class _ParamVector:
+    """A training phase's trainables in one float64 vector p, and a gradient
+    vector g of the same layout (`_param_refs(model, branch)` order).
+
+    params and grads map each name to its view of p and of g.  The model's
+    MLP weights and biases and its w_asv become the views into p, so an
+    update of p is an update of the model; the scalars get slots of p that
+    `_store_scalars` writes back.  mlp_grads maps each branch whose MLP the
+    vector holds to that MLP's (weights, biases) views into g.
+    """
+
+    def __init__(self, model, branch="all"):
+        refs = _param_refs(model, branch)
+        self.p = np.concatenate([np.ravel(v) for v in refs.values()])
+        self.g = np.zeros_like(self.p)
+        self.params, self.grads, start = {}, {}, 0
+        for key, value in refs.items():
+            stop = start + np.size(value)
+            self.params[key] = self.p[start:stop].reshape(np.shape(value))
+            self.grads[key] = self.g[start:stop].reshape(np.shape(value))
+            start = stop
+        self.mlp_grads = {}
+        for side in ("asv", "cm"):
+            mlp, prefix = _branch_mlp(model, side), f"{side}_mlp"
+            if f"{prefix}.w0" in refs:
+                n = len(mlp.weights)
+                mlp.weights, mlp.biases = _mlp_arrays(self.params, prefix, n)
+                self.mlp_grads[side] = _mlp_arrays(self.grads, prefix, n)
+        if "w_asv" in refs:
+            model.w_asv = self.params["w_asv"]
+
+    def works(self, model, rows):
+        """branch -> MlpWork for up to rows inputs, for each MLP the vector
+        holds, whose weight and bias gradients are written into g."""
+        return {branch: MlpWork(_branch_mlp(model, branch), rows, grads)
+                for branch, grads in self.mlp_grads.items()}
 
 
 # ----------------------------------------------------------------- forward
@@ -448,7 +489,7 @@ def _batch_loss_and_grads(model, cfg, s, cache, labels):
 
 
 class TrainingDiverged(RuntimeError):
-    """A batch loss or a scalar parameter came out infinite or NaN.
+    """A batch loss or a parameter came out infinite or NaN.
 
     log holds the entries of the epochs `train_joint` finished before it,
     as it would have returned them (none if pretraining diverged).
@@ -457,22 +498,28 @@ class TrainingDiverged(RuntimeError):
     log = ()
 
 
-def _train_step(model, optimizer, params, grads, loss, phase, epoch, batch):
-    """Update params (from `_param_refs(model)`) and write them back.
+def _train_step(model, optimizer, vector, grads, loss, phase, epoch, batch):
+    """Update the `_ParamVector` vector from grads and store its scalars.
 
-    Raises TrainingDiverged, naming the phase, epoch and batch, if the batch
-    loss or a scalar parameter after the update is not finite; the arrays
-    are not scanned.
+    grads maps every name of vector to its gradient; the MLP gradients
+    already are views into vector.g.  Raises TrainingDiverged, naming the
+    phase, epoch and batch, if the batch loss or any parameter after the
+    update is not finite.
     """
     bad = None if math.isfinite(loss) else ("loss", loss)
     if bad is None:
-        optimizer.step(params, grads)
-        bad = next(((key, p) for key, p in params.items()
-                    if not np.ndim(p) and not math.isfinite(p)), None)
+        for key, view in vector.grads.items():
+            if grads[key] is not view:
+                view[...] = grads[key]
+        optimizer.step(vector.p, vector.g)
+        if not np.isfinite(vector.p).all():
+            bad = next((key, v[~np.isfinite(v)][0])
+                       for key, v in vector.params.items()
+                       if not np.isfinite(v).all())
     if bad is not None:
         raise TrainingDiverged(f"{phase} diverged at epoch {epoch}, batch "
                                f"{batch}: {bad[0]} is {float(bad[1])}")
-    apply_dict(model, params)
+    _store_scalars(model, vector.params)
 
 
 # Dev-set rows scored per forward pass.  On OpenBLAS, MLP scores in chunks
@@ -481,12 +528,72 @@ def _train_step(model, optimizer, params, grads, loss, phase, epoch, batch):
 DEV_CHUNK_ROWS = 512
 
 
+def _train_epoch(model, cfg, optimizer, vector, embeddings, codes, batches,
+                 works, epoch):
+    """One epoch of joint training over batches; returns its mean loss."""
+    losses = []
+    for number, batch in enumerate(batches, 1):
+        # a diverging step makes infs and NaNs: _train_step names it
+        with np.errstate(all="ignore"):
+            s, cache = forward_batch(model, *(e[batch] for e in embeddings),
+                                     works)
+            loss, grads = _batch_loss_and_grads(model, cfg, s, cache,
+                                                codes[batch])
+            _train_step(model, optimizer, vector, grads, loss,
+                        "joint training", epoch, number)
+        losses.append(loss)
+    return float(np.mean(losses))
+
+
+def _dev_result(model, embeddings, codes, works, scores, cost_model):
+    """(min a-DCF, threshold) of the dev set, scored into scores chunk by
+    chunk; the threshold is None at one of the sweep's sentinels."""
+    for start in range(0, codes.size, DEV_CHUNK_ROWS):
+        rows = slice(start, start + DEV_CHUNK_ROWS)
+        scores[rows] = forward_batch(model, *(e[rows] for e in embeddings),
+                                     works)[0]
+    report = min_adcf(scores, codes, cost_model, normalized=True)
+    threshold = report.min_threshold
+    return report.min_adcf, threshold if math.isfinite(threshold) else None
+
+
+def _start_thread(fn, *args):
+    """Run fn(*args) on a new thread; returns a function that joins it.
+
+    The thread runs in a copy of the caller's context, where numpy keeps
+    its np.errstate.  The join function returns fn's result or raises the
+    exception fn raised.
+    """
+    outcome = []
+
+    def run():
+        try:
+            outcome.append((fn(*args), None))
+        except BaseException as exc:
+            outcome.append((None, exc))
+
+    thread = threading.Thread(target=contextvars.copy_context().run,
+                              args=(run,))
+    thread.start()
+
+    def join():
+        thread.join()
+        result, exc = outcome[0]
+        if exc is not None:
+            raise exc
+        return result
+    return join
+
+
 def train_joint(cfg, asv_store, cm_store, train_trials, dev_trials,
                 model=None):
     """Joint training loop; returns (best Checkpoint, per-epoch log list).
 
-    The model's arrays are updated in place; a non-finite batch loss or
-    scalar parameter raises TrainingDiverged.
+    The dev set is scored on a snapshot of each epoch's model, on a second
+    thread while the next epoch trains; the log and the checkpoint are
+    those of scoring it in turn.  A non-finite batch loss or parameter
+    raises TrainingDiverged; an error in scoring an epoch is raised before
+    anything that goes wrong in the next one.
     """
     for t in train_trials + dev_trials:
         if t.enroll_id not in asv_store or t.test_id not in asv_store \
@@ -499,8 +606,6 @@ def train_joint(cfg, asv_store, cm_store, train_trials, dev_trials,
             raise ValueError(f"{split_name} split lacks some classes")
 
     embeddings = _embeddings(asv_store, cm_store, train_trials)
-    e_enr, e_tst_asv, e_tst_cm = embeddings
-    dev_embeddings = _embeddings(asv_store, cm_store, dev_trials)
     codes = label_codes([t.label for t in train_trials])
     dev_codes = label_codes([t.label for t in dev_trials])
 
@@ -514,50 +619,46 @@ def train_joint(cfg, asv_store, cm_store, train_trials, dev_trials,
     else:
         model = model.copy()
 
-    params = _param_refs(model)
+    vector = _ParamVector(model)
     optimizer = OptimizerState(cfg.optimizer, cfg.lr)
     works = None
-    dev_scores = np.empty(dev_codes.size)
-    dev_works = _mlp_works(model, min(DEV_CHUNK_ROWS, dev_codes.size))
+    # _dev_result's arguments after the model
+    dev = (_embeddings(asv_store, cm_store, dev_trials), dev_codes,
+           _mlp_works(model, min(DEV_CHUNK_ROWS, dev_codes.size)),
+           np.empty(dev_codes.size), cfg.cost_model)
     log = []
     best = None
-    for epoch in range(1, cfg.epochs + 1):
-        epoch_losses = []
-        batches = _stratified_batches(codes, cfg.batch_size, rng)
-        if works is None:  # every epoch splits each class the same way
-            works = _mlp_works(model, max(batch.size for batch in batches))
-        for number, batch in enumerate(batches, 1):
-            # a diverging step makes infs and NaNs: _train_step names it
-            with np.errstate(all="ignore"):
-                s, cache = forward_batch(model, e_enr[batch],
-                                         e_tst_asv[batch], e_tst_cm[batch],
-                                         works)
-                loss, grads = _batch_loss_and_grads(model, cfg, s, cache,
-                                                    codes[batch])
-                try:
-                    _train_step(model, optimizer, params, grads, loss,
-                                "joint training", epoch, number)
-                except TrainingDiverged as exc:
-                    exc.log = log
-                    raise
-            epoch_losses.append(loss)
-        for start in range(0, dev_codes.size, DEV_CHUNK_ROWS):
-            rows = slice(start, start + DEV_CHUNK_ROWS)
-            dev_scores[rows] = forward_batch(
-                model, *(e[rows] for e in dev_embeddings), dev_works)[0]
-        report = min_adcf(dev_scores, dev_codes, cfg.cost_model,
-                          normalized=True)
-        threshold = report.min_threshold \
-            if math.isfinite(report.min_threshold) else None
-        log.append({
-            "epoch": epoch,
-            "train_loss": float(np.mean(epoch_losses)),
-            "dev_min_adcf": report.min_adcf,
-            "dev_threshold": threshold,
-        })
-        if best is None or report.min_adcf < best.dev_min_adcf:
-            best = Checkpoint(epoch, model.copy(), report.min_adcf,
-                              threshold)
+    scoring = None  # (epoch, train loss, snapshot, join) in flight
+
+    def log_dev(epoch, train_loss, snapshot, join):
+        nonlocal best
+        dev_min_adcf, threshold = join()
+        log.append({"epoch": epoch, "train_loss": train_loss,
+                    "dev_min_adcf": dev_min_adcf, "dev_threshold": threshold})
+        if best is None or dev_min_adcf < best.dev_min_adcf:
+            best = Checkpoint(epoch, snapshot, dev_min_adcf, threshold)
+
+    try:
+        for epoch in range(1, cfg.epochs + 1):
+            try:
+                batches = _stratified_batches(codes, cfg.batch_size, rng)
+                if works is None:  # every epoch splits each class the same
+                    works = vector.works(model,
+                                         max(b.size for b in batches))
+                train_loss = _train_epoch(model, cfg, optimizer, vector,
+                                          embeddings, codes, batches, works,
+                                          epoch)
+            finally:  # the previous epoch's scoring comes first
+                if scoring is not None:
+                    log_dev(*scoring)
+            snapshot = model.copy()
+            scoring = (epoch, train_loss, snapshot,
+                       _start_thread(_dev_result, snapshot, *dev))
+        if scoring is not None:
+            log_dev(*scoring)
+    except TrainingDiverged as exc:
+        exc.log = log
+        raise
     if best is None:  # zero epochs: return the initial state unevaluated
         best = Checkpoint(0, model.copy(), None, None)
     return best, log
@@ -596,14 +697,12 @@ def pretrain_heads(cfg, asv_store, cm_store, trials, embeddings=None):
     codes = label_codes([t.label for t in trials])
     for branch in ("asv", "cm"):
         keep, y = subsystem_task(codes, branch)
-        params = _param_refs(model, branch)
+        vector = _ParamVector(model, branch)
         optimizer = OptimizerState(cfg.optimizer, cfg.lr)
         idx_all = np.nonzero(keep)[0]
         n_batches = max(1, -(-idx_all.size // cfg.batch_size))
-        mlp = _branch_mlp(model, branch)
         # np.array_split's first chunk is the largest
-        work = None if mlp is None else \
-            MlpWork(mlp, -(-idx_all.size // n_batches))
+        work = vector.works(model, -(-idx_all.size // n_batches)).get(branch)
         for epoch in range(1, cfg.epochs + 1):
             order = idx_all.copy()
             rng.shuffle(order)
@@ -613,7 +712,7 @@ def pretrain_heads(cfg, asv_store, cm_store, trials, embeddings=None):
                     loss, grads = _pretrain_loss_and_grads(
                         model, branch, *(e[chunk] for e in embeddings),
                         y[chunk], work)
-                    _train_step(model, optimizer, params, grads, loss,
+                    _train_step(model, optimizer, vector, grads, loss,
                                 f"{branch.upper()} pretraining", epoch,
                                 number)
     return model

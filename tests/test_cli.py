@@ -126,6 +126,20 @@ class TestSimulate:
         assert asv.dim == 6
 
 
+    def test_unwritable_cm_vectors_leave_no_file(self, tmp_path, capsys):
+        """Both embedding files are checked before either is written."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cm_margin": 1e39}))
+        out = tmp_path / "sim"
+        rc, caught = run_quietly(["simulate", "--mode", "embeddings",
+                                  "--config", str(cfg),
+                                  "--out-dir", str(out)])
+        assert (rc, caught) == (1, [])
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "cm_emb.bin: vector for" in err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("mode,config,message", [
         ("embeddings", {"bogus": 1}, "unknown field 'bogus'"),
         ("embeddings", {"seed": 3}, "unknown field 'seed'"),
@@ -459,6 +473,27 @@ class TestDetAndGrid:
         rc = main(["grid", "--out", str(tmp_path / "g.csv")])
         assert rc == 1
         assert "either --ckpt or --mode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["cm_mlp.w0", "w_asv"])
+    def test_grid_rejects_a_non_finite_checkpoint_array(self, tmp_path,
+                                                        capsys, name):
+        ckpt = tmp_path / "ckpt.json"
+        doc = json.loads(fileio.checkpoint_to_json(ModelParams(
+            "wcos-mlp", "nonlinear", 2, 2, init_mlp(4, (3,), make_rng(0)),
+            w_asv=np.ones(2))))
+        if name == "w_asv":
+            doc["w_asv"][0] = math.inf
+        else:
+            doc["cm_mlp"]["weights"][0][1] = math.nan
+        ckpt.write_text(json.dumps(doc))  # writes NaN and Infinity
+        out = tmp_path / "g.csv"
+        rc, caught = run_quietly(["grid", "--ckpt", str(ckpt),
+                                  "--out", str(out)])
+        assert (rc, caught) == (1, [])
+        assert capsys.readouterr().err == (
+            f"sasv grid: error: {ckpt}: malformed checkpoint field: "
+            f"{name} must be finite\n")
+        assert not out.exists()
 
 
 class TestTrainCommand:

@@ -1,5 +1,7 @@
 import math
 import re
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -18,8 +20,9 @@ from sasv.train import (ARCHITECTURES, Checkpoint, ModelParams,
                         init_model, pretrain_heads, score_trials, sgd_step,
                         train_joint, trainable_dict, tune_fusion_rho,
                         _stratified_batches, _batch_loss_and_grads,
-                        _param_refs, _pretrain_loss_and_grads)
+                        _param_refs, _pretrain_loss_and_grads, _ParamVector)
 from sasv.sim import make_rng
+import sasv.train
 
 SMALL_HIDDEN = (6, 4)
 
@@ -49,15 +52,15 @@ def tiny_model(cfg, d_asv, d_cm, seed=0):
 
 class TestOptimizers:
     def test_sgd_step(self):
-        params = {"a": np.array([1.0, 2.0]), "b": np.float64(3.0)}
-        sgd_step(params, {"a": np.array([0.5, -0.5]), "b": np.float64(1.0)},
-                 lr=0.1)
-        np.testing.assert_allclose(params["a"], [0.95, 2.05])
-        assert params["b"] == pytest.approx(2.9)
+        p = np.array([1.0, 2.0, 3.0])
+        sgd_step(p, np.array([0.5, -0.5, 1.0]), lr=0.1)
+        np.testing.assert_allclose(p, [0.95, 2.05, 2.9])
 
     def test_sgd_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            sgd_step({"a": np.zeros(2)}, {"a": np.zeros(3)}, 0.1)
+        with pytest.raises(ValueError, match="gradient shape"):
+            sgd_step(np.zeros(2), np.zeros(3), 0.1)
+        with pytest.raises(ValueError, match="gradient shape"):
+            adam_step(np.zeros(2), np.zeros(1), OptimizerState("adam", 0.1))
 
     def test_adam_matches_scalar_reference(self):
         # hand-rolled scalar Adam on f(p) = p^2
@@ -74,32 +77,29 @@ class TestOptimizers:
             trace.append(p_ref)
 
         state = OptimizerState("adam", lr)
-        params = {"p": np.float64(1.0)}
+        p = np.array([1.0])
         for expected in trace:
-            state.step(params, {"p": np.float64(2.0 * params["p"])})
-            assert params["p"] == pytest.approx(expected, rel=1e-12)
+            state.step(p, 2.0 * p)
+            assert p[0] == pytest.approx(expected, rel=1e-12)
 
     def test_adam_first_step_is_signed_lr(self):
         state = OptimizerState("adam", 0.01)
-        params = {"p": np.float64(0.0)}
-        adam_step(params, {"p": np.float64(123.0)}, state)
+        p = np.array([0.0])
+        adam_step(p, np.array([123.0]), state)
         # bias correction makes the first step ~ lr * sign(g)
-        assert params["p"] == pytest.approx(-0.01, rel=1e-6)
+        assert p[0] == pytest.approx(-0.01, rel=1e-6)
 
     @pytest.mark.parametrize("kind", ["sgd", "adam"])
     def test_arrays_update_in_place(self, kind):
-        a = np.array([1.0, 2.0])
-        params = {"a": a, "b": np.float64(3.0)}
-        OptimizerState(kind, 0.1).step(
-            params, {"a": np.array([0.5, -0.5]), "b": np.float64(1.0)})
-        assert params["a"] is a and a[0] < 1.0 and a[1] > 2.0
-        assert params["b"] < 3.0
+        p = np.array([1.0, 2.0, 3.0])
+        out = OptimizerState(kind, 0.1).step(p, np.array([0.5, -0.5, 1.0]))
+        assert out is p and p[0] < 1.0 and p[1] > 2.0 and p[2] < 3.0
 
     def test_adam_in_place_gives_the_formula_bits(self):
         rng = np.random.default_rng(4)
         lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
         p = rng.normal(size=(7, 5))
-        params, state = {"p": p}, OptimizerState("adam", lr)
+        state = OptimizerState("adam", lr)
         ref, m, v = p.copy(), np.zeros_like(p), np.zeros_like(p)
         for t in range(1, 6):
             g = rng.normal(size=p.shape) * 10.0 ** rng.integers(-8, 8,
@@ -108,8 +108,8 @@ class TestOptimizers:
             v = b2 * v + (1 - b2) * g * g
             ref = ref - lr * (m / (1 - b1 ** t)) / (
                 np.sqrt(v / (1 - b2 ** t)) + eps)
-            state.step(params, {"p": g})
-            assert params["p"].tobytes() == ref.tobytes()
+            state.step(p, g)
+            assert p.tobytes() == ref.tobytes()
 
     def test_optimizer_validation(self):
         with pytest.raises(ValueError):
@@ -239,6 +239,39 @@ class TestParamDicts:
             expected = d[key] if key in d else before[key]
             assert np.asarray(after[key]).tobytes() == \
                 np.asarray(expected).tobytes(), key
+
+    @pytest.mark.parametrize("branch", ["all", "asv", "cm"])
+    def test_vector_holds_the_trainables_in_layout_order(self, branch):
+        """The model's arrays are views into one vector laid out as
+        `_param_refs`; the MLP gradients are written into the gradient
+        vector, not copied there."""
+        cfg, asv, cm, train, _ = tiny_setup(arch="mlp-mlp")
+        model = tiny_model(cfg, asv.dim, cm.dim)
+        before = trainable_dict(model, branch)
+        vector = _ParamVector(model, branch)
+        assert vector.p.tobytes() == b"".join(
+            np.asarray(v).tobytes() for v in before.values())
+        refs = _param_refs(model, branch)
+        assert list(refs) == list(vector.params) == list(before)
+        for key, value in refs.items():
+            if np.ndim(value):
+                assert value is vector.params[key], key
+        e = [asv.matrix([t.enroll_id for t in train]),
+             asv.matrix([t.test_id for t in train]),
+             cm.matrix([t.test_id for t in train])]
+        codes = label_codes([t.label for t in train])
+        works = vector.works(model, codes.size)
+        if branch == "all":
+            s, cache = forward_batch(model, *e, works)
+            _, grads = _batch_loss_and_grads(model, cfg, s, cache, codes)
+        else:
+            _, grads = _pretrain_loss_and_grads(
+                model, branch, *e, (codes == TARGET).astype(float),
+                works[branch])
+        assert set(grads) == set(vector.grads)
+        for key, view in vector.grads.items():
+            if "_mlp." in key:
+                assert grads[key] is view, key
 
     def test_linear_fusion_has_no_rho(self):
         cfg = TrainConfig(architecture="wcos-mlp", fusion_mode="linear")
@@ -419,6 +452,122 @@ class TestTrainJoint:
             _, log = train_joint(replace(cfg, epochs=epoch - 1), asv, cm,
                                  train, dev)
         assert info.value.log == log
+
+    def test_a_weight_going_non_finite_is_named_at_its_batch(self,
+                                                            monkeypatch):
+        """A weight that turns infinite stops training at the batch that
+        made it, before any loss is infinite or NaN."""
+        cfg, asv, cm, train, dev = tiny_setup(epochs=3, batch_size=8,
+                                              optimizer="sgd", lr=0.1)
+        per_epoch = len(_stratified_batches(
+            label_codes([t.label for t in train]), 8, make_rng(0)))
+        assert per_epoch >= 3
+        real, calls, losses = sasv.train._batch_loss_and_grads, [], []
+
+        def poisoned(*args):
+            loss, grads = real(*args)
+            calls.append(None)
+            losses.append(loss)
+            if len(calls) == per_epoch + 3:  # epoch 2, batch 3
+                grads["cm_mlp.w1"][0, 1] = -np.inf
+            return loss, grads
+
+        monkeypatch.setattr(sasv.train, "_batch_loss_and_grads", poisoned)
+        with pytest.raises(TrainingDiverged) as info:
+            train_joint(cfg, asv, cm, train, dev)
+        assert str(info.value) == ("joint training diverged at epoch 2, "
+                                   "batch 3: cm_mlp.w1 is inf")
+        assert all(math.isfinite(loss) for loss in losses)
+        assert [e["epoch"] for e in info.value.log] == [1]
+
+    @pytest.mark.parametrize("outcome", ["returns", "diverges",
+                                         "dev fails"])
+    def test_no_thread_is_left(self, monkeypatch, outcome):
+        """A slow dev pass is over when train_joint returns or raises."""
+        cfg, asv, cm, train, dev = tiny_setup(seed=1, epochs=4,
+                                              batch_size=24)
+        if outcome == "diverges":  # after epoch 1, as tested above
+            cfg = replace(cfg, optimizer="sgd", lr=1e4)
+
+        def slow(*args, **kwargs):
+            time.sleep(0.2)
+            if outcome == "dev fails":
+                raise ValueError("no dev score")
+            return min_adcf(*args, **kwargs)
+
+        monkeypatch.setattr(sasv.train, "min_adcf", slow)
+        before = set(threading.enumerate())
+        if outcome == "returns":
+            train_joint(cfg, asv, cm, train, dev)
+        else:
+            with np.errstate(all="ignore"), pytest.raises(
+                    TrainingDiverged if outcome == "diverges"
+                    else ValueError) as info:
+                train_joint(cfg, asv, cm, train, dev)
+            if outcome == "diverges":
+                assert info.value.log  # a dev pass was in flight
+        assert set(threading.enumerate()) == before
+
+    def test_dev_scoring_error_keeps_its_type_and_message(self,
+                                                          monkeypatch):
+        cfg, asv, cm, train, dev = tiny_setup(epochs=4, batch_size=16)
+        calls = []
+
+        def failing_second(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise KeyError("dev scoring failed at its second epoch")
+            return min_adcf(*args, **kwargs)
+
+        monkeypatch.setattr(sasv.train, "min_adcf", failing_second)
+        with pytest.raises(KeyError) as info:
+            train_joint(cfg, asv, cm, train, dev)
+        assert info.value.args == ("dev scoring failed at its second epoch",)
+        assert len(calls) == 2  # no epoch is scored after the failing one
+
+    def test_dev_scoring_error_comes_before_the_next_divergence(
+            self, monkeypatch):
+        """As when each epoch was scored before the next began: the error
+        in scoring epoch 1 is raised, not epoch 2's divergence."""
+        cfg, asv, cm, train, dev = tiny_setup(epochs=3, batch_size=16)
+        per_epoch = len(_stratified_batches(
+            label_codes([t.label for t in train]), 16, make_rng(0)))
+        real, calls = sasv.train._batch_loss_and_grads, []
+
+        def nan_in_epoch_2(*args):
+            loss, grads = real(*args)
+            calls.append(None)
+            return (math.nan if len(calls) > per_epoch else loss), grads
+
+        def failing(*args, **kwargs):
+            raise ValueError("dev scoring failed")
+
+        monkeypatch.setattr(sasv.train, "_batch_loss_and_grads",
+                            nan_in_epoch_2)
+        monkeypatch.setattr(sasv.train, "min_adcf", failing)
+        with pytest.raises(ValueError, match="^dev scoring failed$") as info:
+            train_joint(cfg, asv, cm, train, dev)
+        assert isinstance(info.value.__context__, TrainingDiverged)
+        assert str(info.value.__context__).startswith(
+            "joint training diverged at epoch 2, batch 1: loss is nan")
+
+    def test_dev_set_is_scored_under_the_callers_errstate(self,
+                                                           monkeypatch):
+        cfg, asv, cm, train, dev = tiny_setup(epochs=2, batch_size=16)
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append((np.geterr(), threading.current_thread()))
+            return min_adcf(*args, **kwargs)
+
+        monkeypatch.setattr(sasv.train, "min_adcf", recording)
+        with np.errstate(all="raise"):
+            train_joint(cfg, asv, cm, train, dev)
+        assert len(seen) == 2
+        for state, thread in seen:
+            assert state == {"divide": "raise", "over": "raise",
+                             "under": "raise", "invalid": "raise"}
+            assert thread is not threading.main_thread()
 
     def test_resume_from_given_model_does_not_mutate_it(self):
         cfg, asv, cm, train, dev = tiny_setup(epochs=2, batch_size=16)
