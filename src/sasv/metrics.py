@@ -42,19 +42,15 @@ def split_by_class(scores, labels):
     return s[codes == TARGET], s[codes == NONTARGET], s[codes == SPOOF]
 
 
-def _rates(tar, non, spf, tau):
-    if min(tar.size, non.size, spf.size) == 0:
-        raise ValueError("empty class in error-rate computation")
-    return (float(np.count_nonzero(tar < tau)) / tar.size,
-            float(np.count_nonzero(non >= tau)) / non.size,
-            float(np.count_nonzero(spf >= tau)) / spf.size)
-
-
 def error_rates(scores, labels, tau):
     """Count the three error rates at threshold tau."""
     tar, non, spf = split_by_class(scores, labels)
-    p_miss, p_fa_non, p_fa_spf = _rates(tar, non, spf, tau)
-    return ErrorRates(p_miss, p_fa_non, p_fa_spf, float(tau))
+    if min(tar.size, non.size, spf.size) == 0:
+        raise ValueError("empty class in error-rate computation")
+    return ErrorRates(float(np.count_nonzero(tar < tau)) / tar.size,
+                      float(np.count_nonzero(non >= tau)) / non.size,
+                      float(np.count_nonzero(spf >= tau)) / spf.size,
+                      float(tau))
 
 
 def _class_weights(cm):
@@ -115,56 +111,68 @@ def candidate_thresholds(scores):
                            [np.inf]))
 
 
-def _sweep(uniq, classes, cost_model, normalized):
-    """a-DCF at each of candidate_thresholds(scores), uniq = unique(scores).
+def min_adcf(scores, labels, cost_model, normalized=True):
+    """Global minimum a-DCF over all real thresholds (midpoint sweep).
 
-    Candidate k+1 lies in (uniq[k], uniq[k+1]], so a class has as many
-    scores below it as below uniq[k+1]: one bincount over the distinct
-    scores and a cumsum count each class once.  Candidate 0 (-inf) reads 0
-    and the +inf sentinel reads the count below +inf.
+    One argsort orders the scores with their class codes.  cuts[k] is the
+    number of scores below candidate_thresholds(scores)[k]: 0 for -inf,
+    the end of each run of equal sorted scores, and for the +inf sentinel
+    the count below +inf.  A class's running count read at the cuts is its
+    count below every candidate at once.  Raises ValueError on a NaN score.
     """
-    top = int(np.searchsorted(uniq, np.inf))
-    value, term = np.empty((2, uniq.size + 1))
+    s = np.asarray(scores, dtype=np.float64)
+    if len(labels) != s.shape[0]:
+        raise ValueError("scores and labels differ in length")
+    codes = label_codes(labels)
+    sizes = [int(np.count_nonzero(codes == code))
+             for code in (TARGET, NONTARGET, SPOOF)]
+    if min(sizes) == 0:
+        raise ValueError("all three classes must be present for min a-DCF")
+    order = np.argsort(s)  # ties need no order: only run ends are read
+    ss, cc = s[order], codes[order]
+    del order  # the next arrays reuse its memory instead of new pages
+    if np.isnan(ss[-1]):  # NaN sorts last
+        raise ValueError("min a-DCF: a score is NaN")
+    change = np.ones(s.size + 1, dtype=bool)
+    np.not_equal(ss[1:], ss[:-1], out=change[1:-1])
+    cuts = np.flatnonzero(change)
+    if ss[-1] == np.inf:
+        cuts[-1] = cuts[-2]
+    value, term = np.empty((2, cuts.size))
+    running = np.empty(s.size + 1)
+    running[0] = 0.0
     # the operations and their order are _combine's, so the bits are too;
     # the counts are integers below 2**53, exact in float64
-    for i, (x, weight) in enumerate(zip(classes, _class_weights(cost_model))):
-        out = term if i else value
-        bins = np.searchsorted(uniq, np.sort(x))
-        out[0] = 0.0
-        np.cumsum(np.bincount(bins, minlength=uniq.size), out=out[1:])
-        out[-1] = out[top]
-        out /= x.size
-        if i:
+    for code, weight in zip((TARGET, NONTARGET, SPOOF),
+                            _class_weights(cost_model)):
+        out = value if code == TARGET else term
+        np.cumsum(cc == code, out=running[1:])
+        # "clip" (the cuts are in range) writes out without a buffer
+        np.take(running, cuts, out=out, mode="clip")
+        out /= sizes[code]
+        if code != TARGET:
             np.subtract(1.0, out, out=out)
         out *= weight
-        if i:
+        if code != TARGET:
             value += term
     if normalized:
         # min <= 1 (a sentinel is the default system), so no inf is chosen
         with np.errstate(over="ignore"):
             value /= default_system_cost(cost_model)
-    return value
-
-
-def min_adcf(scores, labels, cost_model, normalized=True):
-    """Global minimum a-DCF over all real thresholds (midpoint sweep)."""
-    s = np.asarray(scores, dtype=np.float64)
-    tar, non, spf = split_by_class(s, labels)
-    if min(tar.size, non.size, spf.size) == 0:
-        raise ValueError("all three classes must be present for min a-DCF")
-    uniq = np.unique(s)
-    values = _sweep(uniq, (tar, non, spf), cost_model, normalized)
-    best = int(np.argmin(values))
-    if 0 < best < uniq.size:  # candidate_thresholds(s)[best], alone
-        tau = float(_midpoints(uniq[best - 1:best], uniq[best:best + 1])[0])
+    best = int(np.argmin(value))
+    if 0 < best < cuts.size - 1:  # candidate_thresholds(s)[best], alone
+        tau = float(_midpoints(ss[cuts[best - 1]], ss[cuts[best]]))
     else:
         tau = math.inf if best else -math.inf
-    p_miss, p_fa_non, p_fa_spf = _rates(tar, non, spf, tau)
+    below = np.bincount(cc[:cuts[best]], minlength=3).tolist()
+    n_tar, n_non, n_spf = sizes
     return AdcfReport(
-        min_adcf=float(values[best]),
+        min_adcf=float(value[best]),
         min_threshold=tau,
         normalized=normalized,
-        rates_at_min=ErrorRates(p_miss, p_fa_non, p_fa_spf, tau),
+        rates_at_min=ErrorRates(below[TARGET] / n_tar,
+                                (n_non - below[NONTARGET]) / n_non,
+                                (n_spf - below[SPOOF]) / n_spf, tau),
     )
 
 

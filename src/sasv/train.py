@@ -489,7 +489,8 @@ def _batch_loss_and_grads(model, cfg, s, cache, labels):
 
 
 class TrainingDiverged(RuntimeError):
-    """A batch loss or a parameter came out infinite or NaN.
+    """A batch loss or a parameter came out infinite or NaN, or a dev
+    score NaN.
 
     log holds the entries of the epochs `train_joint` finished before it,
     as it would have returned them (none if pretraining diverged).
@@ -545,13 +546,19 @@ def _train_epoch(model, cfg, optimizer, vector, embeddings, codes, batches,
     return float(np.mean(losses))
 
 
-def _dev_result(model, embeddings, codes, works, scores, cost_model):
-    """(min a-DCF, threshold) of the dev set, scored into scores chunk by
-    chunk; the threshold is None at one of the sweep's sentinels."""
+def _dev_result(epoch, model, embeddings, codes, works, scores,
+                cost_model):
+    """(min a-DCF, threshold) of the dev set after epoch, scored into
+    scores chunk by chunk; the threshold is None at one of the sweep's
+    sentinels.  Embeddings are finite, so a NaN dev score means weights so
+    large that the forward pass overflows: that is a divergence."""
     for start in range(0, codes.size, DEV_CHUNK_ROWS):
         rows = slice(start, start + DEV_CHUNK_ROWS)
         scores[rows] = forward_batch(model, *(e[rows] for e in embeddings),
                                      works)[0]
+    if np.isnan(scores).any():
+        raise TrainingDiverged(f"joint training diverged at epoch {epoch}, "
+                               f"dev pass: a dev score is nan")
     report = min_adcf(scores, codes, cost_model, normalized=True)
     threshold = report.min_threshold
     return report.min_adcf, threshold if math.isfinite(threshold) else None
@@ -622,7 +629,7 @@ def train_joint(cfg, asv_store, cm_store, train_trials, dev_trials,
     vector = _ParamVector(model)
     optimizer = OptimizerState(cfg.optimizer, cfg.lr)
     works = None
-    # _dev_result's arguments after the model
+    # _dev_result's arguments after the epoch and the model
     dev = (_embeddings(asv_store, cm_store, dev_trials), dev_codes,
            _mlp_works(model, min(DEV_CHUNK_ROWS, dev_codes.size)),
            np.empty(dev_codes.size), cfg.cost_model)
@@ -653,7 +660,7 @@ def train_joint(cfg, asv_store, cm_store, train_trials, dev_trials,
                     log_dev(*scoring)
             snapshot = model.copy()
             scoring = (epoch, train_loss, snapshot,
-                       _start_thread(_dev_result, snapshot, *dev))
+                       _start_thread(_dev_result, epoch, snapshot, *dev))
         if scoring is not None:
             log_dev(*scoring)
     except TrainingDiverged as exc:

@@ -17,11 +17,14 @@ run but the comparison is skipped.
 import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from sasv.cli import main
+from sasv.core import DEFAULT_COST_MODEL, CostModel
+from sasv.metrics import min_adcf
 
 # sha256 of float_kernel_bytes() where GOLDEN was taken (x86_64, AVX-512,
 # numpy 2.4.6)
@@ -227,3 +230,59 @@ def test_training_outputs_are_pinned(tmp_path):
         pytest.skip("float or matrix-product kernels round differently from "
                     "where the digests were taken")
     assert digests == TRAIN_GOLDEN
+
+
+# min_adcf reports over a seeded corpus of ties, signed zeros, infinities,
+# subnormals and scores near the largest double.  The corpus is drawn with
+# integer and IEEE-exact operations only, and the sweep only counts, adds,
+# multiplies and divides, so the digest is the same on every CPU.  Taken
+# from the kernel that looked each class up in np.unique(scores) with
+# searchsorted and counted it with bincount + cumsum.
+ADCF_GOLDEN = \
+    "ac301547b7b21d283272df77e99aa5e59e0500924e9723c11a6e081e1d889265"
+DBL_MAX = sys.float_info.max
+ADCF_COST_MODELS = [DEFAULT_COST_MODEL,
+                    CostModel(1.0, 10.0, 20.0, 0.9, 0.01, 0.09),
+                    CostModel(1.0, 1.0, 1.0, 0.5, 0.25, 0.25)]
+FINITE_POOL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, -1.0,
+               np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)]
+# no -0.0 next to -inf: when the minimum lies just above -inf the threshold
+# is the next distinct score itself, and where that is a tie of 0.0 and
+# -0.0, which of the two the sort puts first decides its sign
+EXTREME_POOL = [0.0, 1.0, -1.0, DBL_MAX, np.nextafter(DBL_MAX, 0.0),
+                -DBL_MAX, 1.6e308, 1.7e308, -1.7e308, np.inf, -np.inf]
+
+
+def adcf_corpus(count=120, n_max=600, seed=13):
+    """(scores, codes) pairs, every class present in each."""
+    rng = np.random.default_rng(seed)
+
+    def sign(n):
+        return rng.choice([-1.0, 1.0], n)
+
+    kinds = [
+        lambda n: (rng.random(n) + rng.random(n) + rng.random(n) - 1.5) * 2,
+        lambda n: rng.integers(-3, 4, n).astype(np.float64),
+        lambda n: np.round(rng.random(n) * 0.06 - 0.03, 2),  # with -0.0
+        lambda n: sign(n) * np.ldexp(1.0 + rng.random(n),
+                                     rng.integers(-996, 997, n)),
+        lambda n: rng.choice(FINITE_POOL, n),
+        lambda n: rng.choice(EXTREME_POOL, n),
+        lambda n: np.where(rng.random(n) < 0.2, sign(n) * np.inf,
+                           rng.integers(-2, 3, n).astype(np.float64)),
+    ]
+    for i in range(count):
+        n = int(rng.integers(3, 12 if i % 3 == 0 else n_max))
+        scores = kinds[i % len(kinds)](n)
+        codes = rng.integers(0, 3, n).astype(np.int8)
+        codes[rng.choice(n, 3, replace=False)] = [0, 1, 2]
+        yield scores, codes
+
+
+def test_min_adcf_reports_are_pinned():
+    reports = [repr(min_adcf(scores, codes, cm, normalized))
+               for scores, codes in adcf_corpus()
+               for cm in ADCF_COST_MODELS for normalized in (True, False)]
+    assert len(reports) == 720
+    digest = hashlib.sha256("\n".join(reports).encode()).hexdigest()
+    assert digest == ADCF_GOLDEN

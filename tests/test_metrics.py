@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import brute_force_min_adcf, naive_adcf, random_three_class
 from sasv.core import CostModel, DEFAULT_COST_MODEL, TrialLabel
-from sasv.metrics import (actual_adcf, adcf_at, candidate_thresholds,
+from sasv.metrics import (AdcfReport, ErrorRates, _class_weights, _midpoints,
+                          actual_adcf, adcf_at, candidate_thresholds,
                           default_system_cost, det_points, eer, error_rates,
                           min_adcf, split_by_class)
 
@@ -100,6 +101,15 @@ class TestAdcf:
         with pytest.raises(ValueError):
             actual_adcf(W_SCORES, W_LABELS, math.inf, DEFAULT_COST_MODEL)
 
+    @pytest.mark.parametrize("scores", [
+        [2.0, math.nan, 1.0, 0.0], [math.nan] * 4,
+        [2.0, 1.0, math.nan, -math.inf], [math.inf, -1.0, 1.0, math.nan]])
+    def test_nan_score_rejected(self, scores):
+        # a NaN used to be counted as a score above every threshold
+        with pytest.raises(ValueError, match="^min a-DCF: a score is NaN$"):
+            min_adcf(scores, np.array([0, 1, 1, 2], dtype=np.int8),
+                     DEFAULT_COST_MODEL)
+
     def test_min_requires_all_classes(self):
         with pytest.raises(ValueError, match="classes"):
             min_adcf([1.0, 2.0],
@@ -153,6 +163,40 @@ def sweep_by_brute_force(scores, codes, cm, normalized):
     if normalized:
         values /= default_system_cost(cm)
     return cands, values
+
+
+def min_adcf_by_lookup(scores, codes, cm, normalized):
+    """min_adcf as it was computed before the argsort kernel: each class
+    sorted, looked up in np.unique(scores) with searchsorted and counted
+    per distinct score with bincount + cumsum."""
+    uniq = np.unique(scores)
+    classes = split_by_class(scores, codes)
+    top = int(np.searchsorted(uniq, np.inf))
+    value, term = np.empty((2, uniq.size + 1))
+    for i, (x, weight) in enumerate(zip(classes, _class_weights(cm))):
+        out = term if i else value
+        out[0] = 0.0
+        np.cumsum(np.bincount(np.searchsorted(uniq, np.sort(x)),
+                              minlength=uniq.size), out=out[1:])
+        out[-1] = out[top]
+        out /= x.size
+        if i:
+            np.subtract(1.0, out, out=out)
+        out *= weight
+        if i:
+            value += term
+    if normalized:
+        value /= default_system_cost(cm)
+    best = int(np.argmin(value))
+    if 0 < best < uniq.size:
+        tau = float(_midpoints(uniq[best - 1:best], uniq[best:best + 1])[0])
+    else:
+        tau = math.inf if best else -math.inf
+    tar, non, spf = classes
+    rates = ErrorRates(float(np.count_nonzero(tar < tau)) / tar.size,
+                       float(np.count_nonzero(non >= tau)) / non.size,
+                       float(np.count_nonzero(spf >= tau)) / spf.size, tau)
+    return AdcfReport(float(value[best]), tau, normalized, rates)
 
 
 class TestDegenerateMidpoints:
@@ -209,6 +253,33 @@ class TestDegenerateMidpoints:
         assert rep.min_adcf == values[best]
         assert rep.min_threshold == cands[best]
         assert rep.rates_at_min == error_rates(scores, codes, cands[best])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(scores_st.filter(math.isfinite),
+                              st.sampled_from([0, 1, 2])),
+                    min_size=3, max_size=60),
+           st.sampled_from([DEFAULT_COST_MODEL,
+                            CostModel(1.0, 10.0, 20.0, 0.9, 0.01, 0.09),
+                            CostModel(1.0, 1.0, 1.0, 0.5, 0.25, 0.25)]),
+           st.booleans())
+    def test_report_bits_match_the_lookup_kernel(self, rows, cm, normalized):
+        rows += [(rows[0][0], 0), (rows[1][0], 1), (rows[2][0], 2)]
+        scores = np.array([s for s, _ in rows])
+        codes = np.array([c for _, c in rows], dtype=np.int8)
+        assert repr(min_adcf(scores, codes, cm, normalized)) == \
+            repr(min_adcf_by_lookup(scores, codes, cm, normalized))
+
+    def test_zero_tie_above_minus_inf(self):
+        """Where the minimum lies just above -inf, the threshold is the next
+        distinct score itself; for a tie of 0.0 and -0.0 it is one of the
+        two, whichever the sort puts first."""
+        scores = np.array([-np.inf, 0.0, -0.0, -np.inf, -0.0, 0.0])
+        codes = np.array([1, 0, 0, 2, 0, 0], dtype=np.int8)
+        rep = min_adcf(scores, codes, DEFAULT_COST_MODEL)
+        assert rep.min_adcf == 0.0 and rep.min_threshold == 0.0
+        assert rep.rates_at_min == error_rates(scores, codes, 0.0)
+        assert rep.min_adcf == adcf_at(scores, codes, 0.0,
+                                       DEFAULT_COST_MODEL)
 
 
 class TestDet:

@@ -551,6 +551,19 @@ class TestTrainJoint:
         assert str(info.value.__context__).startswith(
             "joint training diverged at epoch 2, batch 1: loss is nan")
 
+    def test_nan_dev_scores_are_a_divergence(self):
+        """Finite weights so large that the dev forward pass overflows stop
+        the run at their epoch, which is not logged."""
+        cfg, asv, cm, train, dev = tiny_setup(seed=1, epochs=4,
+                                              batch_size=24, optimizer="sgd",
+                                              lr=1e4)
+        with np.errstate(all="ignore"), pytest.raises(
+                TrainingDiverged) as info:
+            train_joint(cfg, asv, cm, train, dev)
+        assert str(info.value) == ("joint training diverged at epoch 2, "
+                                   "dev pass: a dev score is nan")
+        assert [e["epoch"] for e in info.value.log] == [1]
+
     def test_dev_set_is_scored_under_the_callers_errstate(self,
                                                            monkeypatch):
         cfg, asv, cm, train, dev = tiny_setup(epochs=2, batch_size=16)
@@ -665,6 +678,12 @@ class TestTuneFusionRho:
                 best = (float(r), val)
         assert tune_fusion_rho(llr_a, llr_c, codes, cost_model,
                                grid=grid) == best
+
+    def test_nan_llr_rejected(self):
+        labels = [TrialLabel.TARGET, TrialLabel.NONTARGET, TrialLabel.SPOOF]
+        with pytest.raises(ValueError, match="^min a-DCF: a score is NaN$"):
+            tune_fusion_rho([3.0, math.nan, 3.0], [3.0, 3.0, -3.0], labels,
+                            DEFAULT_COST_MODEL)
 
     def test_grid_outside_unit_interval_is_rejected(self):
         labels = [TrialLabel.TARGET, TrialLabel.NONTARGET, TrialLabel.SPOOF]
