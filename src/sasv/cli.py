@@ -9,6 +9,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -355,6 +356,11 @@ _COMMANDS = {
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # a printed warning is one line, as an error is; a recorder of warnings
+    # still receives each one
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = \
+        lambda message, *_: f"sasv {args.command}: warning: {message}\n"
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
@@ -362,6 +368,8 @@ def main(argv=None):
         message = exc.args[0] if isinstance(exc, KeyError) else exc
         print(f"sasv {args.command}: error: {message}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

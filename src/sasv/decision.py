@@ -50,10 +50,16 @@ class CalibrationFitError(RuntimeError):
     pass
 
 
-def sigmoid(z):
-    """Logistic 1 / (1 + e^-z), overflow-safe; a float for a scalar."""
+def _exp_neg_abs(z):
+    """e^-|z|, which never overflows: e^-z for z >= 0 and e^z below."""
+    return np.exp(-np.abs(z))
+
+
+def sigmoid(z, ez=None):
+    """Logistic 1 / (1 + e^-z), overflow-safe; a float for a scalar.  ez is
+    _exp_neg_abs(z), if the caller has it."""
     z = np.asarray(z, dtype=np.float64)
-    ez = np.exp(-np.abs(z))  # e^-z for z >= 0, e^z below: never overflows
+    ez = _exp_neg_abs(z) if ez is None else ez
     out = np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
     return float(out) if out.ndim == 0 else out
 
@@ -63,14 +69,24 @@ def logit(p):
     return math.log(p) - math.log1p(-p)
 
 
-def logistic_loss(z, y):
+def logistic_loss(z, y, ez=None):
     """Elementwise -log sigmoid(z) for y=1 and -log sigmoid(-z) for y=0,
-    in the one stable form max(z, 0) - z y + log(1 + e^-|z|)."""
-    return np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
+    in the one stable form max(z, 0) - z y + log(1 + e^-|z|).  ez is
+    _exp_neg_abs(z), if the caller has it."""
+    ez = _exp_neg_abs(z) if ez is None else ez
+    return np.maximum(z, 0.0) - z * y + np.log1p(ez)
+
+
+def _logistic_terms(w0, w1, s, y):
+    """(negative log-likelihood, z, e^-|z|) of the calibration z = w0 + w1 s
+    of scores s with labels y."""
+    z = w0 + w1 * s
+    ez = _exp_neg_abs(z)
+    return float(np.sum(logistic_loss(z, y, ez))), z, ez
 
 
 def _logistic_nll(w0, w1, s, y):
-    return float(np.sum(logistic_loss(w0 + w1 * s, y)))
+    return _logistic_terms(w0, w1, s, y)[0]
 
 
 def fit_calibration(scores, labels):
@@ -89,10 +105,9 @@ def fit_calibration(scores, labels):
         raise ValueError("both classes must be present to fit calibration")
 
     w0, w1 = 0.0, 0.0
-    nll = _logistic_nll(w0, w1, s, y)
+    nll, z, ez = _logistic_terms(w0, w1, s, y)
     for _ in range(FIT_MAX_ITER):
-        z = w0 + w1 * s
-        p = sigmoid(z)
+        p = sigmoid(z, ez)
         r = p - y
         g0 = float(np.sum(r))
         g1 = float(np.sum(r * s))
@@ -113,9 +128,10 @@ def fit_calibration(scores, labels):
         step = 1.0
         while step > 1e-12:
             n0, n1 = w0 - step * d0, w1 - step * d1
-            new_nll = _logistic_nll(n0, n1, s, y)
-            if new_nll <= nll + 1e-15:
-                w0, w1, nll = n0, n1, new_nll
+            terms = _logistic_terms(n0, n1, s, y)
+            if terms[0] <= nll + 1e-15:
+                w0, w1 = n0, n1
+                nll, z, ez = terms
                 break
             step *= 0.5
         if abs(w1) >= FIT_SCALE_CAP:

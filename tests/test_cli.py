@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -58,6 +60,18 @@ def make_train_sim(tmp_path, n_per_class=40):
             "--cm-emb", str(sim / "cm_emb.bin"),
             "--train-proto", str(sim / "train.tsv"),
             "--dev-proto", str(sim / "dev.tsv")]
+
+
+def repeat_first_train_trial(argv):
+    """Append the first line of the train protocol argv names to it again;
+    returns the warning message that repeat raises."""
+    proto = argv[argv.index("--train-proto") + 1]
+    with open(proto, encoding="utf-8") as f:
+        lines = f.readlines()
+    with open(proto, "a", encoding="utf-8") as f:
+        f.write(lines[0])
+    enroll, test = lines[0].split("\t")[:2]
+    return f"{proto}:{len(lines) + 1}: duplicate trial {enroll}/{test}"
 
 
 class TestTopLevel:
@@ -902,6 +916,31 @@ class TestInputFaults:
             f"sasv train: error: {emb}: entry 0: vector for 'a' has "
             "non-finite entries\n")
 
+    def test_duplicate_trial_is_a_one_line_warning(self, tmp_path):
+        # the warning machinery only prints outside a recorder, so run the
+        # command as its own process, as a user would
+        argv = make_train_sim(tmp_path, 10)
+        message = repeat_first_train_trial(argv)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (
+            os.path.dirname(os.path.dirname(fileio.__file__)),
+            env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sasv.cli", *argv, "--epochs", "1",
+             "--out", str(tmp_path / "ckpt.json")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == f"sasv train: warning: {message}\n"
+
+    def test_warnings_are_still_recorded(self, tmp_path):
+        argv = make_train_sim(tmp_path, 10)
+        message = repeat_first_train_trial(argv)
+        formatwarning = warnings.formatwarning
+        rc, caught = run_quietly([*argv, "--epochs", "1",
+                                  "--out", str(tmp_path / "ckpt.json")])
+        assert (rc, caught) == (0, [message])
+        assert warnings.formatwarning is formatwarning
+
     def test_unknown_enrolment_is_printed_without_quotes(self, tmp_path,
                                                          capsys):
         argv = make_train_sim(tmp_path, 10)
@@ -997,5 +1036,55 @@ def test_json_inputs_exit_cleanly(data, target):
         else:
             argv = ["simulate", "--mode", use, "--config", path,
                     "--out-dir", os.path.join(tmp, "sim")]
+        rc, caught, err = run_captured(argv)
+    assert_clean_exit(rc, caught, err)
+
+
+SCORE_INSERTS = (b"\t", b"\n", b"\r", b"\x00", b"\xff", b"\xef\xbb\xbf",
+                 b"1e999", b"nan")
+
+
+@st.composite
+def mutated_bytes(draw, data):
+    """data after one to three deletions, insertions from SCORE_INSERTS,
+    truncations or repeats of a span."""
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["delete", "insert", "truncate",
+                                     "repeat"]))
+        i = draw(st.integers(0, len(data)))
+        if kind == "insert":
+            data = data[:i] + draw(st.sampled_from(SCORE_INSERTS)) + data[i:]
+        elif kind == "truncate":
+            data = data[:i]
+        else:
+            j = draw(st.integers(i, min(i + 40, len(data))))
+            data = data[:i] + data[j:] if kind == "delete" \
+                else data[:j] + data[i:j] + data[j:]
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(),
+       use=st.sampled_from(["eval", "calibrate-asv", "calibrate-cm",
+                            "fuse-asv", "fuse-cm"]))
+def test_score_files_exit_cleanly(data, use):
+    """Whatever bytes a score TSV holds, eval, calibrate and fuse exit 0 or
+    1 with at most one line on stderr and no warning."""
+    with tempfile.TemporaryDirectory() as tmp:
+        good, bad, out = (os.path.join(tmp, name)
+                          for name in ("good.tsv", "bad.tsv", "out"))
+        write_worked_scores(good)
+        with open(good, "rb") as f:
+            text = f.read()
+        with open(bad, "wb") as f:
+            f.write(data.draw(mutated_bytes(text)))
+        if use == "eval":
+            argv = ["eval", "--scores", bad, "--report", out]
+        elif use.startswith("calibrate"):
+            argv = ["calibrate", "--scores", bad, "--task", use[10:],
+                    "--out", out]
+        else:
+            asv, cm = (bad, good) if use == "fuse-asv" else (good, bad)
+            argv = ["fuse", "--asv", asv, "--cm", cm, "--out", out]
         rc, caught, err = run_captured(argv)
     assert_clean_exit(rc, caught, err)

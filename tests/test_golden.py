@@ -24,6 +24,7 @@ import pytest
 
 from sasv.cli import main
 from sasv.core import DEFAULT_COST_MODEL, CostModel
+from sasv.decision import CalibrationFitError, fit_calibration
 from sasv.metrics import min_adcf
 
 # sha256 of float_kernel_bytes() where GOLDEN was taken (x86_64, AVX-512,
@@ -286,3 +287,51 @@ def test_min_adcf_reports_are_pinned():
     assert len(reports) == 720
     digest = hashlib.sha256("\n".join(reports).encode()).hexdigest()
     assert digest == ADCF_GOLDEN
+
+
+# fit_calibration over a seeded corpus: overlapping Gaussians, tied integer
+# scores, separable data whose |w1| reaches the FIT_SCALE_CAP, and scores so
+# large that the Newton step overflows (the error text is part of the
+# digest).  The fit calls exp and log1p, so the digest is compared only
+# where FLOAT_KERNELS matches.  Taken from the fit that computed w0 + w1 s
+# and e^-|z| afresh in each Newton iteration.
+FIT_GOLDEN = \
+    "cc6821d2eb2b783ee314033db667e350bfa52615ec029106fe51fac67b13c6dc"
+
+
+def fit_corpus(count=48, n_max=3000, seed=29):
+    """(scores, labels) pairs, both labels present in each."""
+    rng = np.random.default_rng(seed)
+    kinds = [
+        lambda y: rng.normal(0.0, 1.0, y.size) + 2.0 * y - 1.0,
+        lambda y: rng.normal(0.0, 3.0, y.size) * (0.5 + y) + 4.0 * y,
+        lambda y: (rng.integers(-3, 4, y.size) + y).astype(np.float64),
+        lambda y: (2.0 * y - 1.0) * (0.1 + rng.random(y.size)),
+        lambda y: (1.0 - 2.0 * y) * (0.1 + rng.random(y.size)),
+        lambda y: (2.0 * y - 1.0) * 1e200 + rng.normal(0.0, 1e199, y.size),
+    ]
+    for i in range(count):
+        n = int(rng.integers(2, 12 if i % 4 == 0 else n_max))
+        y = rng.integers(0, 2, n).astype(np.float64)
+        y[:2] = [0.0, 1.0]
+        yield kinds[i % len(kinds)](y), y
+
+
+def fit_outcome(scores, labels):
+    try:
+        with np.errstate(all="ignore"):
+            return repr(fit_calibration(scores, labels))
+    except CalibrationFitError as exc:
+        return f"CalibrationFitError: {exc}"
+
+
+def test_calibration_fits_are_pinned():
+    outcomes = [fit_outcome(s, y) for s, y in fit_corpus()]
+    assert any("w1=50.0)" in o for o in outcomes)
+    assert any("w1=-50.0)" in o for o in outcomes)
+    assert any(o.startswith("CalibrationFitError") for o in outcomes)
+    if hashlib.sha256(float_kernel_bytes()).hexdigest() != FLOAT_KERNELS:
+        pytest.skip("exp/log kernels round differently from where the "
+                    "digest was taken")
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == FIT_GOLDEN

@@ -1,4 +1,4 @@
-"""The columnar score path: ScoreTable, label codes and the chunked reader."""
+"""The columnar score path: ScoreTable, label codes and the block reader."""
 
 import math
 from unittest import mock
@@ -44,7 +44,9 @@ def reference_read_scores(path):
     return rows
 
 
-ids = st.text(st.sampled_from("ab#0 -é "), max_size=4)
+# "\x0b", "\x1c", "\x85" and "\u2028" end a line for str.splitlines but not
+# in a file read as text, so they stay inside an id
+ids = st.text(st.sampled_from("ab#0 -é\x0b\x1c\x85\u2028"), max_size=4)
 good_scores = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.sampled_from(["1e3", " 2.5", "-0", "1_0", "+.5", "7"]))
@@ -64,7 +66,7 @@ bad_lines = st.one_of(
               ).map("\t".join),
     ids)
 newlines = st.sampled_from(["\n", "\r\n", "\r"])
-chunk_lines = st.sampled_from([1, 2, 3, 5, 64, fileio.SCORE_CHUNK_LINES])
+block_chars = st.sampled_from([1, 2, 3, 5, 64, fileio.SCORE_BLOCK_CHARS])
 
 
 def _file_text(lines, newline, final_newline):
@@ -72,12 +74,13 @@ def _file_text(lines, newline, final_newline):
     return text + newline if lines and final_newline else text
 
 
-def _both(path, chunk):
-    """(rows or error text) from read_scores and from the reference."""
+def _both(path, block):
+    """(rows or error text) from read_scores, reading block characters at a
+    time, and from the reference."""
     results = []
     for parse in (read_scores, reference_read_scores):
         try:
-            with mock.patch.object(fileio, "SCORE_CHUNK_LINES", chunk):
+            with mock.patch.object(fileio, "SCORE_BLOCK_CHARS", block):
                 results.append(list(parse(path)))
         except FormatError as exc:
             results.append(str(exc))
@@ -91,13 +94,13 @@ def work(tmp_path_factory):
 
 @settings(max_examples=300, deadline=None)
 @given(lines=st.lists(st.one_of(good_rows, good_rows, comments), max_size=12),
-       newline=newlines, final_newline=st.booleans(), chunk=chunk_lines)
+       newline=newlines, final_newline=st.booleans(), block=block_chars)
 def test_well_formed_files_match_reference(work, lines, newline,
-                                           final_newline, chunk):
+                                           final_newline, block):
     path = work / "good.tsv"
     path.write_bytes(_file_text(lines, newline, final_newline)
                      .encode("utf-8"))
-    got, want = _both(path, chunk)
+    got, want = _both(path, block)
     assert not isinstance(want, str)
     assert got == want
     # byte for byte through the writer (covers -0.0 against 0.0)
@@ -109,26 +112,58 @@ def test_well_formed_files_match_reference(work, lines, newline,
 @settings(max_examples=300, deadline=None)
 @given(lines=st.lists(st.one_of(good_rows, comments, bad_lines),
                       min_size=1, max_size=12),
-       newline=newlines, final_newline=st.booleans(), chunk=chunk_lines)
+       newline=newlines, final_newline=st.booleans(), block=block_chars)
 def test_malformed_files_fail_like_reference(work, lines, newline,
-                                             final_newline, chunk):
+                                             final_newline, block):
     path = work / "any.tsv"
     path.write_bytes(_file_text(lines, newline, final_newline)
                      .encode("utf-8"))
-    got, want = _both(path, chunk)
+    got, want = _both(path, block)
     assert got == want
 
 
-def test_error_names_line_past_chunk_boundary(tmp_path):
+def test_error_names_line_past_block_boundary(tmp_path):
     path = tmp_path / "s.tsv"
     lines = ["# header\n", "\n"] + [f"e{i}\tt{i}\t{i}.5\tspoof\n"
                                     for i in range(10)]
     lines[9] = "e\tt\tinf\ttarget\n"
     path.write_text("".join(lines))
-    with mock.patch.object(fileio, "SCORE_CHUNK_LINES", 4):
-        with pytest.raises(FormatError,
-                           match=r"s\.tsv:10: non-finite score 'inf'$"):
-            read_scores(path)
+    for block in (1, 7, 40, fileio.SCORE_BLOCK_CHARS):
+        with mock.patch.object(fileio, "SCORE_BLOCK_CHARS", block):
+            with pytest.raises(FormatError,
+                               match=r"s\.tsv:10: non-finite score 'inf'$"):
+                read_scores(path)
+
+
+@pytest.mark.parametrize("header", ["", "# comment\n"])
+@pytest.mark.parametrize("lines", [["e\tt\t1\ttarget\tx\n", "e\t2\tspoof\n"],
+                                   ["e\tt\t1\n", "target\te\tt\t2\tspoof\n"]])
+def test_fields_cannot_move_between_lines(tmp_path, header, lines):
+    # three tabs a line on average, and the fields in file order would
+    # parse as two rows
+    path = tmp_path / "s.tsv"
+    path.write_text(header + "".join(lines))
+    got, want = _both(path, fileio.SCORE_BLOCK_CHARS)
+    assert got == want and "expected 4 tab-separated fields" in got
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 64, fileio.SCORE_BLOCK_CHARS])
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                 "\x85", "\u2028", "\u2029"])
+def test_unicode_line_breaks_stay_inside_ids(tmp_path, block, sep):
+    """Only "\n" (after the text layer's newline translation) ends a line."""
+    path = tmp_path / "s.tsv"
+    good = [f"e{sep}1\tt1\t0.5\ttarget\n", f"e2\t{sep}\t-1\tspoof\n",
+            f"#{sep}e\tt\t1\ttarget\n", f"{sep}\tt3\t2\tnontarget\n"]
+    path.write_text("".join(good), encoding="utf-8")
+    got, want = _both(path, block)
+    assert got == want and len(got) == 3
+    assert got[0][0] == f"e{sep}1" and got[2][0] == sep
+    # a bad line after them is named by its "\n"-counted number
+    path.write_text("".join(good) + f"e{sep}\tt\tx\ttarget\n",
+                    encoding="utf-8")
+    got, want = _both(path, block)
+    assert got == want == f"{path}:5: unparseable score 'x'"
 
 
 def test_empty_file_is_empty_table(tmp_path):
