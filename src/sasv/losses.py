@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import LABELS, NONTARGET, SPOOF, TARGET, label_codes, \
     subsystem_task
-from .decision import logistic_loss, sigmoid
+from .decision import _exp_neg_abs, logistic_loss, sigmoid
 from .metrics import _class_weights, default_system_cost
 
 PROB_EPS = 1e-7
@@ -61,7 +61,8 @@ def bce(value, y, input_kind="logit"):
     """
     if input_kind == "logit":
         x = float(value)
-        return float(logistic_loss(x, y)), sigmoid(x) - y
+        ez = _exp_neg_abs(x)
+        return float(logistic_loss(x, y, ez)), sigmoid(x, ez) - y
     if input_kind == "probability":
         p = min(max(float(value), PROB_EPS), 1.0 - PROB_EPS)
         loss = -(y * math.log(p) + (1 - y) * math.log(1.0 - p))
@@ -76,8 +77,9 @@ def bce_logits_mean(logits, ys):
     y = np.asarray(ys, dtype=np.float64)
     if x.size == 0:
         raise ValueError("empty batch in BCE")
-    grads = (sigmoid(x) - y) / x.size
-    return float(np.mean(logistic_loss(x, y))), grads
+    ez = _exp_neg_abs(x)
+    grads = (sigmoid(x, ez) - y) / x.size
+    return float(np.mean(logistic_loss(x, y, ez))), grads
 
 
 def _class_masks(labels):

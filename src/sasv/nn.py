@@ -184,15 +184,14 @@ def mlp_forward(params, x, work=None):
     return (float(score[0]) if single else score), (posts, single)
 
 
-def mlp_backward(params, tape, upstream, work=None, input_grad=True):
-    """Gradients of sum(upstream * score) w.r.t. params and input.
+def mlp_backward(params, tape, upstream, work=None):
+    """Gradients of sum(upstream * score) w.r.t. params, as an MlpParams.
 
     Each activation's derivative is computed from its output on the tape.
-    The parameter gradients are written into `work` (None builds a fresh
-    one) and alias its buffers until the next call with the same work.
-    The input gradient is a fresh array, or None if input_grad is false.
+    The gradients are written into `work` (None builds a fresh one) and
+    alias its buffers until the next call with the same work.
     """
-    posts, single = tape
+    posts, _ = tape
     if len(posts) != len(params.weights):
         raise ValueError("tape does not match parameters")
     up = np.atleast_1d(np.asarray(upstream, dtype=np.float64))
@@ -211,12 +210,8 @@ def mlp_backward(params, tape, upstream, work=None, input_grad=True):
                               out=work.deltas[i - 1][:n])
             slope = _ACTIVATIONS[params.activations[i - 1]][1]
             delta *= slope(posts[i], _rows(work.slope, n, delta.shape[1]))
-    grads = MlpParams(list(work.grad_w), list(work.grad_b),
-                      list(params.activations))
-    if not input_grad:
-        return grads, None
-    grad_x = delta @ params.weights[0]
-    return grads, (grad_x[0] if single else grad_x)
+    return MlpParams(list(work.grad_w), list(work.grad_b),
+                     list(params.activations))
 
 
 def cosine_score(e1, e2):
@@ -241,13 +236,13 @@ def weighted_cosine_score(w, e_enr, e_tst):
     if np.any(nu == 0) or np.any(nv == 0):
         raise ValueError("cosine undefined for zero-norm (weighted) vectors")
     s = np.sum(u * v, axis=1) / (nu * nv)
-    tape = (w, a2, b2, nu, nv, s, single)
+    tape = (w, a2, b2, nu, nv, s)
     return (float(s[0]) if single else s), tape
 
 
-def weighted_cosine_backward(tape, upstream, with_embedding_grads=False):
+def weighted_cosine_backward(tape, upstream):
     """Exact gradient of sum(upstream * score) w.r.t. the weight vector."""
-    w, a, b, nu, nv, s, single = tape
+    w, a, b, nu, nv, s = tape
     up = np.atleast_1d(np.asarray(upstream, dtype=np.float64))
     if up.shape == (1,) and a.shape[0] > 1:
         up = np.full(a.shape[0], up[0])
@@ -258,14 +253,4 @@ def weighted_cosine_backward(tape, upstream, with_embedding_grads=False):
     term1 = (up * inv)[:, None] * (2.0 * w * a * b)
     term2 = (up * s)[:, None] * (w * a * a / (nu ** 2)[:, None]
                                  + w * b * b / (nv ** 2)[:, None])
-    grad_w = np.sum(term1 - term2, axis=0)
-    if not with_embedding_grads:
-        return grad_w
-    # d s / d e1 = w v / (|u||v|) - s w^2 e1 / |u|^2  (and symmetrically e2)
-    grad_a = (up * inv)[:, None] * (w * w * b) \
-        - (up * s / (nu ** 2))[:, None] * (w * w * a)
-    grad_b = (up * inv)[:, None] * (w * w * a) \
-        - (up * s / (nv ** 2))[:, None] * (w * w * b)
-    if single:
-        grad_a, grad_b = grad_a[0], grad_b[0]
-    return grad_w, grad_a, grad_b
+    return np.sum(term1 - term2, axis=0)

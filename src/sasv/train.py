@@ -5,7 +5,6 @@ from __future__ import annotations
 import contextvars
 import math
 import numbers
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -117,6 +116,11 @@ class TrainConfig:
                 and self.epochs >= 0):
             raise ValueError(f"epochs must be a non-negative integer, "
                              f"got {self.epochs!r}")
+        for name in ("lr", "alpha"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {value!r}")
 
 
 @dataclass
@@ -182,8 +186,8 @@ class OptimizerState:
     def __init__(self, kind, lr):
         if kind not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer kind {kind!r}")
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
+        if not 0 < lr < math.inf:
+            raise ValueError("learning rate must be positive and finite")
         self.kind = kind
         self.lr = lr
         self.step_count = 0
@@ -382,8 +386,8 @@ def _branch_backward(model, branch, s, tape, g_llr, grads, work=None):
     g_s = g_llr * calib.w1
     mlp = _branch_mlp(model, branch)
     if mlp is not None:
-        grads_mlp, _ = mlp_backward(mlp, tape, g_s, work, input_grad=False)
-        _mlp_into_dict(f"{branch}_mlp", grads_mlp, grads)
+        _mlp_into_dict(f"{branch}_mlp", mlp_backward(mlp, tape, g_s, work),
+                       grads)
     elif model.architecture == "wcos-mlp":
         grads["w_asv"] = weighted_cosine_backward(tape, g_s)
 
@@ -441,12 +445,31 @@ def _embeddings(asv_store, cm_store, trials):
             cm_store.matrix([t.test_id for t in trials]))
 
 
+# Trial rows scored per forward pass outside training.  On OpenBLAS, MLP
+# scores in chunks of 64, 128, 500 or 512 rows were bit-identical to one pass
+# over 3000 rows; chunks of 510 or 511 rows were not.
+DEV_CHUNK_ROWS = 512
+
+
+def _score_chunks(model, embeddings, works):
+    """(3, n) array of s_sasv, llr_a and llr_c of n trials, given their
+    (e_enr, e_tst_asv, e_tst_cm) matrices, scored in chunks of
+    DEV_CHUNK_ROWS rows through works (see `_mlp_works`)."""
+    out = np.empty((3, embeddings[0].shape[0]))
+    for start in range(0, out.shape[1], DEV_CHUNK_ROWS):
+        rows = slice(start, start + DEV_CHUNK_ROWS)
+        out[0, rows], cache = forward_batch(
+            model, *(e[rows] for e in embeddings), works)
+        out[1, rows], out[2, rows] = cache["llr_a"], cache["llr_c"]
+    return out
+
+
 def score_trials(model, asv_store, cm_store, trials):
-    """Full forward over a trial list; returns (s_sasv, llr_a, llr_c, labels)."""
-    s, cache = forward_batch(model, *_embeddings(asv_store, cm_store,
-                                                 trials))
-    labels = [t.label for t in trials]
-    return s, cache["llr_a"], cache["llr_c"], labels
+    """Score a trial list; returns (s_sasv, llr_a, llr_c, labels)."""
+    s, llr_a, llr_c = _score_chunks(
+        model, _embeddings(asv_store, cm_store, trials),
+        _mlp_works(model, min(DEV_CHUNK_ROWS, len(trials))))
+    return s, llr_a, llr_c, [t.label for t in trials]
 
 
 # ---------------------------------------------------------------- training
@@ -499,63 +522,46 @@ class TrainingDiverged(RuntimeError):
     log = ()
 
 
-def _train_step(model, optimizer, vector, grads, loss, phase, epoch, batch):
-    """Update the `_ParamVector` vector from grads and store its scalars.
+def _run_epoch(model, optimizer, vector, batches, loss_and_grads, phase,
+               epoch):
+    """Update the `_ParamVector` vector once per batch; returns the losses.
 
-    grads maps every name of vector to its gradient; the MLP gradients
-    already are views into vector.g.  Raises TrainingDiverged, naming the
-    phase, epoch and batch, if the batch loss or any parameter after the
-    update is not finite.
+    loss_and_grads(batch) returns the batch loss and a dict that maps every
+    name of vector to its gradient; the MLP gradients already are views
+    into vector.g.  The scalars are stored back after each update.  Raises
+    TrainingDiverged, naming the phase, epoch and batch, if the batch loss
+    or any parameter after the update is not finite.
     """
-    bad = None if math.isfinite(loss) else ("loss", loss)
-    if bad is None:
-        for key, view in vector.grads.items():
-            if grads[key] is not view:
-                view[...] = grads[key]
-        optimizer.step(vector.p, vector.g)
-        if not np.isfinite(vector.p).all():
-            bad = next((key, v[~np.isfinite(v)][0])
-                       for key, v in vector.params.items()
-                       if not np.isfinite(v).all())
-    if bad is not None:
-        raise TrainingDiverged(f"{phase} diverged at epoch {epoch}, batch "
-                               f"{batch}: {bad[0]} is {float(bad[1])}")
-    _store_scalars(model, vector.params)
-
-
-# Dev-set rows scored per forward pass.  On OpenBLAS, MLP scores in chunks
-# of 64, 128, 500 or 512 rows were bit-identical to one pass over 3000 rows;
-# chunks of 510 or 511 rows were not.
-DEV_CHUNK_ROWS = 512
-
-
-def _train_epoch(model, cfg, optimizer, vector, embeddings, codes, batches,
-                 works, epoch):
-    """One epoch of joint training over batches; returns its mean loss."""
     losses = []
-    for number, batch in enumerate(batches, 1):
-        # a diverging step makes infs and NaNs: _train_step names it
-        with np.errstate(all="ignore"):
-            s, cache = forward_batch(model, *(e[batch] for e in embeddings),
-                                     works)
-            loss, grads = _batch_loss_and_grads(model, cfg, s, cache,
-                                                codes[batch])
-            _train_step(model, optimizer, vector, grads, loss,
-                        "joint training", epoch, number)
-        losses.append(loss)
-    return float(np.mean(losses))
+    # a diverging step makes infs and NaNs: the checks below name it
+    with np.errstate(all="ignore"):
+        for number, batch in enumerate(batches, 1):
+            loss, grads = loss_and_grads(batch)
+            bad = None if math.isfinite(loss) else ("loss", loss)
+            if bad is None:
+                for key, view in vector.grads.items():
+                    if grads[key] is not view:
+                        view[...] = grads[key]
+                optimizer.step(vector.p, vector.g)
+                if not np.isfinite(vector.p).all():
+                    bad = next((key, v[~np.isfinite(v)][0])
+                               for key, v in vector.params.items()
+                               if not np.isfinite(v).all())
+            if bad is not None:
+                raise TrainingDiverged(
+                    f"{phase} diverged at epoch {epoch}, batch {number}: "
+                    f"{bad[0]} is {float(bad[1])}")
+            _store_scalars(model, vector.params)
+            losses.append(loss)
+    return losses
 
 
-def _dev_result(epoch, model, embeddings, codes, works, scores,
-                cost_model):
-    """(min a-DCF, threshold) of the dev set after epoch, scored into
-    scores chunk by chunk; the threshold is None at one of the sweep's
-    sentinels.  Embeddings are finite, so a NaN dev score means weights so
-    large that the forward pass overflows: that is a divergence."""
-    for start in range(0, codes.size, DEV_CHUNK_ROWS):
-        rows = slice(start, start + DEV_CHUNK_ROWS)
-        scores[rows] = forward_batch(model, *(e[rows] for e in embeddings),
-                                     works)[0]
+def _dev_result(epoch, model, embeddings, codes, works, cost_model):
+    """(min a-DCF, threshold) of the dev set after epoch; the threshold is
+    None at one of the sweep's sentinels.  Embeddings are finite, so a NaN
+    dev score means weights so large that the forward pass overflows: that
+    is a divergence."""
+    scores = _score_chunks(model, embeddings, works)[0]
     if np.isnan(scores).any():
         raise TrainingDiverged(f"joint training diverged at epoch {epoch}, "
                                f"dev pass: a dev score is nan")
@@ -564,40 +570,12 @@ def _dev_result(epoch, model, embeddings, codes, works, scores,
     return report.min_adcf, threshold if math.isfinite(threshold) else None
 
 
-def _start_thread(fn, *args):
-    """Run fn(*args) on a new thread; returns a function that joins it.
-
-    The thread runs in a copy of the caller's context, where numpy keeps
-    its np.errstate.  The join function returns fn's result or raises the
-    exception fn raised.
-    """
-    outcome = []
-
-    def run():
-        try:
-            outcome.append((fn(*args), None))
-        except BaseException as exc:
-            outcome.append((None, exc))
-
-    thread = threading.Thread(target=contextvars.copy_context().run,
-                              args=(run,))
-    thread.start()
-
-    def join():
-        thread.join()
-        result, exc = outcome[0]
-        if exc is not None:
-            raise exc
-        return result
-    return join
-
-
 def train_joint(cfg, asv_store, cm_store, train_trials, dev_trials,
                 model=None):
     """Joint training loop; returns (best Checkpoint, per-epoch log list).
 
-    The dev set is scored on a snapshot of each epoch's model, on a second
-    thread while the next epoch trains; the log and the checkpoint are
+    The dev set is scored on a snapshot of each epoch's model, on one
+    worker thread while the next epoch trains; the log and the checkpoint are
     those of scoring it in turn.  A non-finite batch loss or parameter
     raises TrainingDiverged; an error in scoring an epoch is raised before
     anything that goes wrong in the next one.
@@ -626,43 +604,55 @@ def train_joint(cfg, asv_store, cm_store, train_trials, dev_trials,
     else:
         model = model.copy()
 
+    # imported here: it loads logging, which no other command needs
+    from concurrent.futures import ThreadPoolExecutor
+
     vector = _ParamVector(model)
     optimizer = OptimizerState(cfg.optimizer, cfg.lr)
     works = None
+
+    def loss_and_grads(batch):
+        s, cache = forward_batch(model, *(e[batch] for e in embeddings),
+                                 works)
+        return _batch_loss_and_grads(model, cfg, s, cache, codes[batch])
+
     # _dev_result's arguments after the epoch and the model
     dev = (_embeddings(asv_store, cm_store, dev_trials), dev_codes,
            _mlp_works(model, min(DEV_CHUNK_ROWS, dev_codes.size)),
-           np.empty(dev_codes.size), cfg.cost_model)
+           cfg.cost_model)
     log = []
     best = None
-    scoring = None  # (epoch, train loss, snapshot, join) in flight
+    scoring = None  # (epoch, train loss, snapshot, future) in flight
 
-    def log_dev(epoch, train_loss, snapshot, join):
+    def log_dev(epoch, train_loss, snapshot, future):
         nonlocal best
-        dev_min_adcf, threshold = join()
+        dev_min_adcf, threshold = future.result()
         log.append({"epoch": epoch, "train_loss": train_loss,
                     "dev_min_adcf": dev_min_adcf, "dev_threshold": threshold})
         if best is None or dev_min_adcf < best.dev_min_adcf:
             best = Checkpoint(epoch, snapshot, dev_min_adcf, threshold)
 
     try:
-        for epoch in range(1, cfg.epochs + 1):
-            try:
-                batches = _stratified_batches(codes, cfg.batch_size, rng)
-                if works is None:  # every epoch splits each class the same
-                    works = vector.works(model,
-                                         max(b.size for b in batches))
-                train_loss = _train_epoch(model, cfg, optimizer, vector,
-                                          embeddings, codes, batches, works,
-                                          epoch)
-            finally:  # the previous epoch's scoring comes first
-                if scoring is not None:
-                    log_dev(*scoring)
-            snapshot = model.copy()
-            scoring = (epoch, train_loss, snapshot,
-                       _start_thread(_dev_result, epoch, snapshot, *dev))
-        if scoring is not None:
-            log_dev(*scoring)
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            for epoch in range(1, cfg.epochs + 1):
+                try:
+                    batches = _stratified_batches(codes, cfg.batch_size, rng)
+                    if works is None:  # each epoch splits the classes alike
+                        works = vector.works(model,
+                                             max(b.size for b in batches))
+                    train_loss = float(np.mean(_run_epoch(
+                        model, optimizer, vector, batches, loss_and_grads,
+                        "joint training", epoch)))
+                finally:  # the previous epoch's scoring comes first
+                    if scoring is not None:
+                        log_dev(*scoring)
+                snapshot = model.copy()
+                # the copied context keeps the caller's np.errstate
+                scoring = (epoch, train_loss, snapshot, worker.submit(
+                    contextvars.copy_context().run, _dev_result, epoch,
+                    snapshot, *dev))
+            if scoring is not None:
+                log_dev(*scoring)
     except TrainingDiverged as exc:
         exc.log = log
         raise
@@ -711,17 +701,12 @@ def pretrain_heads(cfg, asv_store, cm_store, trials, embeddings=None):
         # np.array_split's first chunk is the largest
         work = vector.works(model, -(-idx_all.size // n_batches)).get(branch)
         for epoch in range(1, cfg.epochs + 1):
-            order = idx_all.copy()
-            rng.shuffle(order)
-            chunks = np.array_split(order, n_batches)
-            for number, chunk in enumerate(chunks, 1):
-                with np.errstate(all="ignore"):  # as in train_joint
-                    loss, grads = _pretrain_loss_and_grads(
-                        model, branch, *(e[chunk] for e in embeddings),
-                        y[chunk], work)
-                    _train_step(model, optimizer, vector, grads, loss,
-                                f"{branch.upper()} pretraining", epoch,
-                                number)
+            batches = np.array_split(rng.permutation(idx_all), n_batches)
+            _run_epoch(model, optimizer, vector, batches,
+                       lambda chunk: _pretrain_loss_and_grads(
+                           model, branch, *(e[chunk] for e in embeddings),
+                           y[chunk], work),
+                       f"{branch.upper()} pretraining", epoch)
     return model
 
 

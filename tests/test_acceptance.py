@@ -29,8 +29,8 @@ from sasv.sim import (EmbeddingSimConfig, ScoreSimConfig, make_rng,
                       simulate_embeddings, simulate_scores, split_trials,
                       true_llrs)
 from sasv.train import (TrainConfig, apply_dict, forward_batch, init_model,
-                        score_trials, train_joint, trainable_dict,
-                        tune_fusion_rho, _batch_loss_and_grads)
+                        train_joint, trainable_dict, tune_fusion_rho,
+                        _batch_loss_and_grads)
 
 
 def test_criterion_01_fusion_identities():
@@ -156,7 +156,7 @@ def _fd_check_components(seed):
     x = rng.normal(size=(5, 4))
     up = rng.normal(size=5)
     _, tape = mlp_forward(p, x)
-    g, _ = mlp_backward(p, tape, up)
+    g = mlp_backward(p, tape, up)
     for layer in range(len(p.weights)):
         for idx in np.ndindex(p.weights[layer].shape):
             orig = p.weights[layer][idx]

@@ -74,7 +74,26 @@ def repeat_first_train_trial(argv):
     return f"{proto}:{len(lines) + 1}: duplicate trial {enroll}/{test}"
 
 
+def src_env():
+    """os.environ with this checkout's sasv first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (
+        os.path.dirname(os.path.dirname(fileio.__file__)),
+        env.get("PYTHONPATH"))))
+    return env
+
+
 class TestTopLevel:
+    def test_import_loads_neither_logging_nor_concurrent_futures(self):
+        """Only training's dev worker needs concurrent.futures, which
+        imports logging; every other command starts without both."""
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, sasv.cli; print(sorted("
+             "{'logging', 'concurrent.futures'} & set(sys.modules)))"],
+            env=src_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_no_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -629,6 +648,20 @@ class TestTrainCommand:
         assert err.startswith(f"sasv train: error: {phase}")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("epochs", ["0", "2"])
+    @pytest.mark.parametrize("flag,value", [
+        ("lr", "nan"), ("lr", "inf"), ("lr", "0"),
+        ("alpha", "nan"), ("alpha", "inf"), ("alpha", "-1")])
+    def test_bad_rate_is_one_line_error_naming_the_flag(
+            self, tmp_path, capsys, flag, value, epochs):
+        rc = main([*make_train_sim(tmp_path, 10), f"--{flag}={value}",
+                   "--epochs", epochs, "--out", str(tmp_path / "ckpt.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == (f"sasv train: error: {flag} must be positive and "
+                       f"finite, got {float(value)}\n")
+        assert not (tmp_path / "ckpt.json").exists()
+
     @pytest.mark.parametrize("epochs", ["-5", "-1"])
     def test_negative_epochs_is_one_line_error(self, tmp_path, capsys,
                                                epochs):
@@ -921,14 +954,10 @@ class TestInputFaults:
         # command as its own process, as a user would
         argv = make_train_sim(tmp_path, 10)
         message = repeat_first_train_trial(argv)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (
-            os.path.dirname(os.path.dirname(fileio.__file__)),
-            env.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "sasv.cli", *argv, "--epochs", "1",
              "--out", str(tmp_path / "ckpt.json")],
-            env=env, capture_output=True, text=True, timeout=120)
+            env=src_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
         assert proc.stderr == f"sasv train: warning: {message}\n"
 

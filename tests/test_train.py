@@ -114,8 +114,9 @@ class TestOptimizers:
     def test_optimizer_validation(self):
         with pytest.raises(ValueError):
             OptimizerState("rmsprop", 0.1)
-        with pytest.raises(ValueError):
-            OptimizerState("sgd", 0.0)
+        for lr in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                OptimizerState("sgd", lr)
 
 
 class TestModelParams:
@@ -589,6 +590,36 @@ class TestTrainJoint:
         train_joint(cfg, asv, cm, train, dev, model=model)
         np.testing.assert_array_equal(model.w_asv, snapshot.w_asv)
         assert model.tau == snapshot.tau
+
+
+class TestScoreTrials:
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_reproduces_the_checkpoints_dev_figure(self, arch):
+        """Over a dev set of one full DEV_CHUNK_ROWS chunk and a partial
+        one, score_trials gives the checkpoint's dev min a-DCF and
+        threshold bit for bit."""
+        cfg = TrainConfig(architecture=arch, epochs=2, batch_size=192)
+        sim = EmbeddingSimConfig(n_speakers=5, d_asv=4, d_cm=3,
+                                 n_target=400, n_nontarget=400,
+                                 n_spoof=400, seed=0)
+        asv, cm, trials = simulate_embeddings(sim)
+        train, dev = split_trials(trials, 0.5, seed=0)
+        assert len(dev) > sasv.train.DEV_CHUNK_ROWS
+        assert len(dev) % sasv.train.DEV_CHUNK_ROWS
+        ckpt, _ = train_joint(cfg, asv, cm, train, dev)
+        s, _, _, labels = score_trials(ckpt.model, asv, cm, dev)
+        report = min_adcf(s, labels, cfg.cost_model, normalized=True)
+        assert report.min_adcf == ckpt.dev_min_adcf
+        threshold = report.min_threshold
+        assert (threshold if math.isfinite(threshold) else None) == \
+            ckpt.dev_threshold
+
+    def test_empty_trial_list_gives_three_empty_arrays(self):
+        cfg, asv, cm, _, _ = tiny_setup(arch="mlp-mlp")
+        model = init_model(cfg, asv.dim, cm.dim)
+        *scores, labels = score_trials(model, asv, cm, [])
+        assert [a.shape for a in scores] == [(0,)] * 3
+        assert labels == []
 
 
 class TestPretrain:
